@@ -118,7 +118,8 @@ pub struct FleetConfig {
     /// ASID-tagged TLBs instead of flush-on-switch.
     pub asid_tlbs: bool,
     /// Physical frames per cell (small on purpose: memory pressure is a
-    /// scenario, and it bounds fleet RSS at hundreds of cells).
+    /// scenario). A cell's host memory follows the frames it has touched,
+    /// at most this many, which bounds fleet RSS at hundreds of cells.
     pub phys_frames: u32,
     /// Request latency above this counts as an SLO violation.
     pub slo_cycles: u64,

@@ -310,34 +310,24 @@ pub fn check(k: &Kernel) -> Vec<Violation> {
 
     // 6. Decode-cache coherence (engine-independent). Work is bounded:
     // stale-generation tables are skipped by a single version compare
-    // (never walking their entries), a live table's scan stops once its
-    // occupied slots have all been visited, and at most `BUDGET` entries
-    // are re-decoded per call — so interleaved checking stays cheap even
-    // for code-heavy workloads.
+    // (never walking their entries), and at most `BUDGET` entries are
+    // re-decoded per call, in ascending (pfn, offset) order — so
+    // interleaved checking stays cheap even for code-heavy workloads.
     const BUDGET: u32 = 64;
     let m = &k.sys.machine;
     let mut budget = BUDGET;
-    'frames: for (pfn, version, used, entries) in m.decode_cache.iter_frames() {
-        if used == 0 || version != m.phys.frame_version(pfn) {
+    'frames: for (pfn, version, decodes) in m.decode_cache.iter_frames() {
+        if version != m.phys.frame_version(pfn) {
             continue;
         }
         let bytes = m.phys.frame_bytes(pte::Frame(pfn));
-        let mut remaining = used;
-        for (off, e) in entries.iter().enumerate() {
-            let Some(cached) = e else { continue };
+        for (off, cached) in decodes {
             if budget == 0 {
                 break 'frames;
             }
             budget -= 1;
-            if sm_machine::isa::decode_slice(&bytes[off..]) != Ok(cached.decoded) {
-                out.push(Violation::DecodeCacheIncoherent {
-                    pfn,
-                    offset: off as u32,
-                });
-            }
-            remaining -= 1;
-            if remaining == 0 {
-                break;
+            if sm_machine::isa::decode_slice(&bytes[off as usize..]) != Ok(cached.decoded) {
+                out.push(Violation::DecodeCacheIncoherent { pfn, offset: off });
             }
         }
     }

@@ -69,27 +69,57 @@ struct FrameDecodes {
     /// observed when these entries were cached. A mismatch on lookup means
     /// the frame has been written since: every entry is stale.
     version: u64,
-    /// Occupied slots in `entries`. Lets the coherence checker stop
-    /// scanning a frame as soon as it has visited every cached decode
-    /// (code clusters at low offsets, so the scan usually ends early).
-    used: u32,
-    /// One slot per byte offset an instruction can start at.
-    entries: Vec<Option<CachedDecode>>,
+    /// One slot per byte offset an instruction can start at: 0 when nothing
+    /// is cached there, else 1 + the decode's index in `entries`. Two bytes
+    /// a slot keep the table at 8 KiB, so creating or invalidating one is
+    /// cheap and a frame holding a handful of decodes stays small.
+    slots: [u16; PAGE_SIZE as usize],
+    /// The cached decodes, densely, in insertion order.
+    entries: Vec<CachedDecode>,
 }
 
 impl FrameDecodes {
     fn new(version: u64) -> FrameDecodes {
         FrameDecodes {
             version,
-            used: 0,
-            entries: vec![None; PAGE_SIZE as usize],
+            slots: [0; PAGE_SIZE as usize],
+            entries: Vec::new(),
         }
     }
 
     fn clear(&mut self, version: u64) {
-        self.entries.iter_mut().for_each(|e| *e = None);
+        self.slots.fill(0);
+        self.entries.clear();
         self.version = version;
-        self.used = 0;
+    }
+
+    #[inline]
+    fn get(&self, off: u32) -> Option<CachedDecode> {
+        match self.slots[off as usize] {
+            0 => None,
+            s => Some(self.entries[s as usize - 1]),
+        }
+    }
+
+    fn insert(&mut self, off: u32, c: CachedDecode) {
+        match self.slots[off as usize] {
+            0 => {
+                self.entries.push(c);
+                self.slots[off as usize] = self.entries.len() as u16;
+            }
+            s => self.entries[s as usize - 1] = c,
+        }
+    }
+
+    /// Every cached decode as `(offset, decode)`, in ascending offset
+    /// order. The scan of `slots` stops once every entry has been yielded.
+    fn iter(&self) -> impl Iterator<Item = (u32, CachedDecode)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| **s != 0)
+            .take(self.entries.len())
+            .map(|(off, s)| (off as u32, self.entries[*s as usize - 1]))
     }
 }
 
@@ -98,7 +128,8 @@ impl FrameDecodes {
 /// [`MachineConfig::decode_cache`](crate::MachineConfig::decode_cache)).
 pub struct DecodeCache {
     /// Indexed by PFN; a frame gets a table lazily on its first cached
-    /// decode (~128 KiB per frame that ever executes code).
+    /// decode (8 KiB of slots plus its decodes, per frame that ever
+    /// executes code).
     frames: Vec<Option<Box<FrameDecodes>>>,
     /// Effectiveness counters.
     pub stats: DecodeCacheStats,
@@ -126,7 +157,7 @@ impl DecodeCache {
                     self.stats.invalidations += 1;
                     None
                 } else {
-                    fd.entries[off as usize]
+                    fd.get(off)
                 }
             }
             None => None,
@@ -151,32 +182,26 @@ impl DecodeCache {
             // shares the frame). Restart the table at the new generation.
             fd.clear(version);
         }
-        if fd.entries[off as usize].is_none() {
-            fd.used += 1;
-        }
-        fd.entries[off as usize] = Some(c);
+        fd.insert(off, c);
     }
 
-    /// Iterate the per-frame tables as `(pfn, snapshot_version,
-    /// occupied_count, entries)` — the coherence-invariant checker in
-    /// `sm-core` skips stale tables by version without touching their
-    /// entries, and `occupied_count` lets it stop scanning a live table as
-    /// soon as every cached decode has been visited.
-    pub fn iter_frames(&self) -> impl Iterator<Item = (u32, u64, u32, &[Option<CachedDecode>])> {
-        self.frames.iter().enumerate().filter_map(|(pfn, fd)| {
-            fd.as_deref()
-                .map(|fd| (pfn as u32, fd.version, fd.used, fd.entries.as_slice()))
-        })
+    /// Iterate the per-frame tables as `(pfn, snapshot_version, decodes)`,
+    /// where `decodes` yields `(offset, decode)` in ascending offset order.
+    /// The coherence-invariant checker in `sm-core` skips stale tables by
+    /// version without touching their entries.
+    pub fn iter_frames(
+        &self,
+    ) -> impl Iterator<Item = (u32, u64, impl Iterator<Item = (u32, CachedDecode)> + '_)> {
+        self.frames
+            .iter()
+            .enumerate()
+            .filter_map(|(pfn, fd)| fd.as_deref().map(|fd| (pfn as u32, fd.version, fd.iter())))
     }
 
     /// Iterate every cached decode as `(pfn, snapshot_version, off, entry)`.
     pub fn iter_cached(&self) -> impl Iterator<Item = (u32, u64, u32, CachedDecode)> + '_ {
-        self.iter_frames().flat_map(|(pfn, version, _, entries)| {
-            entries
-                .iter()
-                .enumerate()
-                .filter_map(move |(off, e)| e.map(|c| (pfn, version, off as u32, c)))
-        })
+        self.iter_frames()
+            .flat_map(|(pfn, version, decodes)| decodes.map(move |(off, c)| (pfn, version, off, c)))
     }
 }
 
@@ -223,12 +248,19 @@ mod tests {
         let mut c = DecodeCache::new(4);
         c.insert(1, 0, 7, nop(1));
         c.insert(1, 1, 7, nop(2));
-        // Same generation: both hit.
+        c.insert(1, 400, 7, nop(2));
+        // Same generation: all hit.
         assert!(c.lookup(1, 0, 7).is_some());
-        // Newer generation: everything cached for frame 1 is stale.
+        // Newer generation: everything cached for frame 1 is stale, and
+        // the table is cleared in place at the new generation.
         assert_eq!(c.lookup(1, 1, 8), None);
         assert_eq!(c.stats.invalidations, 1);
+        let fd = c.frames[1].as_deref().unwrap();
+        assert_eq!(fd.version, 8);
+        assert!(fd.entries.is_empty());
+        assert!(fd.slots.iter().all(|s| *s == 0));
         assert_eq!(c.lookup(1, 0, 8), None);
+        assert_eq!(c.lookup(1, 400, 8), None);
         assert_eq!(c.stats.invalidations, 1, "already reset; no double count");
     }
 
@@ -244,6 +276,51 @@ mod tests {
         assert!(c.lookup(1, 5, 0).is_some());
         let cached: Vec<_> = c.iter_cached().collect();
         assert_eq!(cached, vec![(1, 0, 5, nop(1))]);
+    }
+
+    #[test]
+    fn iter_frames_visits_offsets_in_ascending_order() {
+        let mut c = DecodeCache::new(4);
+        for off in [900, 7, 4000, 0, 31] {
+            c.insert(2, off, 3, nop(1));
+        }
+        c.insert(1, 50, 0, nop(2));
+        let seen: Vec<(u32, Vec<u32>)> = c
+            .iter_frames()
+            .map(|(pfn, _, decodes)| (pfn, decodes.map(|(off, _)| off).collect()))
+            .collect();
+        assert_eq!(seen, vec![(1, vec![50]), (2, vec![0, 7, 31, 900, 4000])]);
+    }
+
+    #[test]
+    fn reinsert_at_an_occupied_offset_replaces_in_place() {
+        let mut c = DecodeCache::new(4);
+        c.insert(1, 10, 0, nop(1));
+        c.insert(1, 20, 0, nop(1));
+        c.insert(1, 10, 0, nop(3));
+        let fd = c.frames[1].as_deref().unwrap();
+        assert_eq!(fd.entries.len(), 2, "used unchanged");
+        assert_eq!(c.lookup(1, 10, 0), Some(nop(3)));
+        assert_eq!(c.lookup(1, 20, 0), Some(nop(1)));
+    }
+
+    #[test]
+    fn table_footprint_is_the_slot_index_plus_its_decodes() {
+        use std::mem::{size_of, size_of_val};
+        let mut c = DecodeCache::new(2);
+        for off in [1, 2, 3, 5, 8, 13, 21, PAGE_SIZE - 1] {
+            c.insert(1, off, 0, nop(1));
+        }
+        let fd = c.frames[1].as_deref().unwrap();
+        // The boxed table is the 8 KiB index plus a version and the Vec
+        // header; the Vec holds one dense entry per cached decode, however
+        // far apart the decodes sit in the frame.
+        assert_eq!(size_of_val(&fd.slots), 8 * 1024);
+        assert_eq!(
+            size_of::<FrameDecodes>(),
+            8 * 1024 + size_of::<u64>() + size_of::<Vec<CachedDecode>>()
+        );
+        assert_eq!(fd.entries.len(), 8);
     }
 
     #[test]

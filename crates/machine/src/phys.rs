@@ -4,9 +4,18 @@
 //! live *inside* this memory (the hardware walker reads them from here), just
 //! like on a real machine, so every pagetable manipulation performed by the
 //! simulated kernel is observable by the simulated hardware.
+//!
+//! Host memory follows the frames the machine has touched, not its modelled
+//! capacity: only frames up to the highest one written are backed by host
+//! bytes, and every frame past the backing reads as zero.
 
 use crate::pte::{Frame, PAGE_SIZE};
 use std::fmt;
+
+const PAGE: usize = PAGE_SIZE as usize;
+
+/// Contents of every frame past the backing.
+pub(crate) static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
 
 /// Simulated physical memory plus the allocator that hands out its frames.
 ///
@@ -14,21 +23,28 @@ use std::fmt;
 /// memory panic: the simulated kernel/hardware is trusted to stay in bounds
 /// (virtual-address safety is enforced separately by the MMU).
 pub struct PhysMemory {
-    pub(crate) bytes: Vec<u8>,
+    /// Contents of frames `0..bytes.len() / PAGE_SIZE`, a whole number of
+    /// frames. Frames past the end have never held a nonzero byte and read
+    /// as zero; the first write past the end grows the backing (at least
+    /// doubling it, capped at [`PhysMemory::frame_count`]).
+    bytes: Vec<u8>,
     /// Per-frame write generation, bumped by every mutating accessor. The
     /// decoded-instruction cache snapshots a frame's version when it caches
     /// decodes from that frame and treats any later mismatch as "this frame
     /// was written, drop the decodes" — so *every* write path (user stores,
     /// kernel loads, COW copies, pagetable A/D updates, frame fills) must go
-    /// through the methods below. The snapshot codec restores both fields
-    /// verbatim (bypassing `bump`) so generations survive a round trip.
+    /// through the methods below. Generation 0 means never written, hence
+    /// all zero. The snapshot codec restores generations and contents
+    /// verbatim (bypassing `bump`) so they survive a round trip. One entry
+    /// per modelled frame: its length is the frame count.
     pub(crate) versions: Vec<u64>,
     /// Allocator over this memory's frames.
     pub allocator: FrameAllocator,
 }
 
 impl PhysMemory {
-    /// Create `frames` frames of zeroed physical memory.
+    /// Create `frames` frames of zeroed physical memory. No host memory
+    /// backs them until they are written.
     ///
     /// # Panics
     ///
@@ -41,7 +57,7 @@ impl PhysMemory {
             "physical memory exceeds the 32-bit physical address space"
         );
         PhysMemory {
-            bytes: vec![0; frames as usize * PAGE_SIZE as usize],
+            bytes: Vec::new(),
             versions: vec![0; frames as usize],
             allocator: FrameAllocator::new(frames),
         }
@@ -58,7 +74,7 @@ impl PhysMemory {
     #[inline]
     fn bump(&mut self, paddr: u32, len: usize) {
         let first = (paddr / PAGE_SIZE) as usize;
-        let last = (paddr as usize + len.max(1) - 1) / PAGE_SIZE as usize;
+        let last = (paddr as usize + len.max(1) - 1) / PAGE;
         for f in first..=last {
             self.versions[f] += 1;
         }
@@ -66,79 +82,161 @@ impl PhysMemory {
 
     /// Total number of frames.
     pub fn frame_count(&self) -> u32 {
-        (self.bytes.len() / PAGE_SIZE as usize) as u32
+        self.versions.len() as u32
+    }
+
+    /// Panic unless `len` bytes at byte address `i` lie inside memory.
+    #[cold]
+    fn check_range(&self, i: usize, len: usize) {
+        assert!(
+            i + len <= self.versions.len() * PAGE,
+            "physical access of {len} bytes at {i:#x} is past the end of memory"
+        );
+    }
+
+    /// Read `buf.len()` bytes at byte address `i` that reach past the
+    /// backing: the backed prefix is copied, the rest reads as zero.
+    #[cold]
+    fn read_unbacked(&self, i: usize, buf: &mut [u8]) {
+        self.check_range(i, buf.len());
+        let backed = self.bytes.get(i..).unwrap_or_default();
+        let n = backed.len().min(buf.len());
+        buf[..n].copy_from_slice(&backed[..n]);
+        buf[n..].fill(0);
+    }
+
+    /// The host bytes for `len` bytes at byte address `i`, growing the
+    /// backing first if they reach past its end.
+    #[inline]
+    fn backed_mut(&mut self, i: usize, len: usize) -> &mut [u8] {
+        if i + len > self.bytes.len() {
+            self.grow(i + len);
+        }
+        &mut self.bytes[i..i + len]
+    }
+
+    /// Back every frame up to byte address `end`: at least double the
+    /// backing, capped at the frame count. New frames are zero.
+    #[cold]
+    fn grow(&mut self, end: usize) {
+        self.check_range(end, 0);
+        let limit = self.versions.len() * PAGE;
+        let len = end
+            .next_multiple_of(PAGE)
+            .max(2 * self.bytes.len())
+            .min(limit);
+        self.bytes.reserve_exact(len - self.bytes.len());
+        self.bytes.resize(len, 0);
     }
 
     /// Read one byte.
     #[inline]
     pub fn read_u8(&self, paddr: u32) -> u8 {
-        self.bytes[paddr as usize]
+        match self.bytes.get(paddr as usize) {
+            Some(&b) => b,
+            None => {
+                let mut b = [0];
+                self.read_unbacked(paddr as usize, &mut b);
+                b[0]
+            }
+        }
     }
 
     /// Write one byte.
     #[inline]
     pub fn write_u8(&mut self, paddr: u32, v: u8) {
         self.bump(paddr, 1);
-        self.bytes[paddr as usize] = v;
+        self.backed_mut(paddr as usize, 1)[0] = v;
     }
 
     /// Read a little-endian 32-bit word (no alignment requirement).
     #[inline]
     pub fn read_u32(&self, paddr: u32) -> u32 {
-        let i = paddr as usize;
-        u32::from_le_bytes(self.bytes[i..i + 4].try_into().unwrap())
+        let mut b = [0; 4];
+        self.read(paddr, &mut b);
+        u32::from_le_bytes(b)
     }
 
     /// Write a little-endian 32-bit word (no alignment requirement).
     #[inline]
     pub fn write_u32(&mut self, paddr: u32, v: u32) {
-        self.bump(paddr, 4);
-        let i = paddr as usize;
-        self.bytes[i..i + 4].copy_from_slice(&v.to_le_bytes());
+        self.write(paddr, &v.to_le_bytes());
     }
 
     /// Copy `data` into memory starting at `paddr`.
+    #[inline]
     pub fn write(&mut self, paddr: u32, data: &[u8]) {
         if data.is_empty() {
             return;
         }
         self.bump(paddr, data.len());
-        let i = paddr as usize;
-        self.bytes[i..i + data.len()].copy_from_slice(data);
+        self.backed_mut(paddr as usize, data.len())
+            .copy_from_slice(data);
     }
 
     /// Copy `buf.len()` bytes out of memory starting at `paddr`.
+    #[inline]
     pub fn read(&self, paddr: u32, buf: &mut [u8]) {
         let i = paddr as usize;
-        buf.copy_from_slice(&self.bytes[i..i + buf.len()]);
+        match self.bytes.get(i..i + buf.len()) {
+            Some(src) => buf.copy_from_slice(src),
+            None => self.read_unbacked(i, buf),
+        }
+    }
+
+    /// Byte range of frame `f`.
+    #[inline]
+    fn frame_range(f: Frame) -> std::ops::Range<usize> {
+        let i = f.0 as usize * PAGE;
+        i..i + PAGE
     }
 
     /// Borrow the contents of one frame.
     pub fn frame_bytes(&self, f: Frame) -> &[u8] {
-        let i = f.base() as usize;
-        &self.bytes[i..i + PAGE_SIZE as usize]
+        let r = Self::frame_range(f);
+        self.bytes.get(r.clone()).unwrap_or_else(|| {
+            self.check_range(r.start, PAGE);
+            &ZERO_PAGE
+        })
     }
 
-    /// Zero an entire frame.
+    /// Zero an entire frame. A frame past the backing is already zero, so
+    /// only its write generation moves.
     pub fn zero_frame(&mut self, f: Frame) {
         self.versions[f.0 as usize] += 1;
-        let i = f.base() as usize;
-        self.bytes[i..i + PAGE_SIZE as usize].fill(0);
+        if let Some(b) = self.bytes.get_mut(Self::frame_range(f)) {
+            b.fill(0);
+        }
     }
 
     /// Fill an entire frame with one byte value.
     pub fn fill_frame(&mut self, f: Frame, v: u8) {
         self.versions[f.0 as usize] += 1;
-        let i = f.base() as usize;
-        self.bytes[i..i + PAGE_SIZE as usize].fill(v);
+        let i = Self::frame_range(f).start;
+        self.backed_mut(i, PAGE).fill(v);
     }
 
     /// Copy the contents of frame `src` into frame `dst`.
     pub fn copy_frame(&mut self, src: Frame, dst: Frame) {
+        let s = Self::frame_range(src);
+        if s.end > self.bytes.len() {
+            // Never backed, so all zero.
+            self.check_range(s.start, PAGE);
+            self.zero_frame(dst);
+            return;
+        }
         self.versions[dst.0 as usize] += 1;
-        let (s, d) = (src.base() as usize, dst.base() as usize);
-        let n = PAGE_SIZE as usize;
-        self.bytes.copy_within(s..s + n, d);
+        let d = Self::frame_range(dst).start;
+        self.backed_mut(d, PAGE);
+        self.bytes.copy_within(s, d);
+    }
+
+    /// Overwrite frame `f` with `data` (one frame of bytes) without moving
+    /// its write generation: the snapshot codec restores contents and
+    /// generations verbatim.
+    pub(crate) fn restore_frame(&mut self, f: Frame, data: &[u8]) {
+        let i = Self::frame_range(f).start;
+        self.backed_mut(i, PAGE).copy_from_slice(data);
     }
 }
 
@@ -415,6 +513,117 @@ mod tests {
         m.zero_frame(Frame(2));
         assert_eq!(m.read_u8(Frame(2).base() + 123), 0);
         assert_eq!(m.read_u8(Frame(1).base() + 123), 0xAA);
+    }
+
+    /// Frames currently backed by host bytes.
+    fn backed(m: &PhysMemory) -> u32 {
+        (m.bytes.len() / PAGE) as u32
+    }
+
+    #[test]
+    fn never_written_frames_read_as_zero() {
+        let mut m = PhysMemory::new(8);
+        m.write_u8(Frame(1).base(), 0xAA);
+        assert_eq!(backed(&m), 2);
+        let f = Frame(6); // past the backing
+        assert_eq!(m.read_u8(f.base() + 17), 0);
+        assert_eq!(m.read_u32(f.base() + 100), 0);
+        let mut buf = [0xFFu8; 32];
+        m.read(f.base() + 8, &mut buf);
+        assert_eq!(buf, [0; 32]);
+        assert_eq!(m.frame_bytes(f), &[0; PAGE][..]);
+        // A read that starts in the backing and ends past it.
+        let mut buf = [0xFFu8; 8];
+        m.read(Frame(2).base() - 4, &mut buf);
+        assert_eq!(buf, [0; 8]);
+        m.write_u8(Frame(2).base() - 1, 0x11);
+        m.read(Frame(2).base() - 4, &mut buf);
+        assert_eq!(buf, [0, 0, 0, 0x11, 0, 0, 0, 0]);
+        assert_eq!(backed(&m), 2, "reads never grow the backing");
+        assert_eq!(m.frame_version(6), 0);
+    }
+
+    #[test]
+    fn word_write_straddling_the_end_of_the_backing() {
+        let mut m = PhysMemory::new(8);
+        m.write_u8(Frame(1).base(), 1);
+        assert_eq!(backed(&m), 2);
+        let end = Frame(2).base();
+        assert_eq!(m.read_u32(end - 2), 0, "straddling read of zeros");
+        m.write_u32(end - 2, 0x1122_3344);
+        assert_eq!(backed(&m), 4, "grown by doubling");
+        assert_eq!(m.read_u32(end - 2), 0x1122_3344);
+        assert_eq!(m.read_u8(end - 2), 0x44);
+        assert_eq!(m.read_u8(end + 1), 0x11);
+        assert_eq!((m.frame_version(1), m.frame_version(2)), (2, 1));
+    }
+
+    #[test]
+    fn a_write_backs_only_up_to_its_doubling_step() {
+        let mut m = PhysMemory::new(512);
+        assert_eq!(backed(&m), 0, "nothing backed at construction");
+        m.write_u8(Frame(5).base() + 9, 1);
+        assert_eq!(backed(&m), 6, "frames 0..=5");
+        m.write_u32(Frame(6).base(), 1);
+        assert_eq!(backed(&m), 12, "one past the end: double");
+        m.fill_frame(Frame(40), 0xCC);
+        assert_eq!(backed(&m), 41, "far past the end: just enough");
+        m.write(Frame(300).base(), &[1; 3 * PAGE]);
+        assert_eq!(backed(&m), 303);
+        m.copy_frame(Frame(40), Frame(500));
+        assert_eq!(backed(&m), 512, "capped at the frame count");
+        assert_eq!(m.read_u8(Frame(500).base() + 7), 0xCC);
+        // Writes inside the backing never move it.
+        m.write_u8(Frame(3).base(), 2);
+        assert_eq!(backed(&m), 512);
+    }
+
+    #[test]
+    fn zero_and_copy_past_the_backing_only_bump_generations() {
+        let mut m = PhysMemory::new(16);
+        m.write_u8(Frame(1).base(), 0xAA);
+        m.zero_frame(Frame(9));
+        assert_eq!(m.frame_version(9), 1);
+        assert_eq!(backed(&m), 2, "zeroing an unbacked frame does not grow");
+        // Copying an unbacked (all-zero) frame zeroes the destination.
+        m.copy_frame(Frame(12), Frame(1));
+        assert_eq!(m.frame_version(1), 2);
+        assert_eq!(m.frame_bytes(Frame(1)), &[0; PAGE][..]);
+        m.copy_frame(Frame(12), Frame(10));
+        assert_eq!(m.frame_version(10), 1);
+        assert_eq!(backed(&m), 2);
+    }
+
+    #[test]
+    fn out_of_range_accesses_still_panic() {
+        fn panics(f: impl FnOnce(&mut PhysMemory)) -> bool {
+            let mut m = PhysMemory::new(4);
+            m.write_u8(PAGE_SIZE, 1);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut m))).is_err()
+        }
+        let end = 4 * PAGE_SIZE;
+        assert!(panics(|m| {
+            m.read_u8(end);
+        }));
+        assert!(panics(|m| {
+            m.read_u32(end - 2);
+        }));
+        assert!(panics(|m| m.read(end - 4, &mut [0; 8])));
+        assert!(panics(|m| {
+            m.frame_bytes(Frame(4));
+        }));
+        assert!(panics(|m| m.write_u8(end, 1)));
+        assert!(panics(|m| m.write_u32(end - 1, 1)));
+        assert!(panics(|m| m.write(end - 4, &[0; 8])));
+        assert!(panics(|m| m.zero_frame(Frame(4))));
+        assert!(panics(|m| m.fill_frame(Frame(4), 1)));
+        assert!(panics(|m| m.copy_frame(Frame(4), Frame(1))));
+        assert!(panics(|m| m.copy_frame(Frame(1), Frame(4))));
+        // The last in-range bytes are fine, backed or not.
+        assert!(!panics(|m| {
+            m.read_u32(end - 4);
+        }));
+        assert!(!panics(|m| m.write_u32(end - 4, 1)));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   exactly, so a restored run replays byte-for-byte.
 //! * **Sparse where memory is big.** Physical frames are stored only when
 //!   their contents or write-generation are nonzero; a freshly booted 64 MiB
-//!   machine snapshots in kilobytes.
+//!   machine snapshots in kilobytes. The loader accepts the sparse lists
+//!   only in the canonical form the saver writes (strictly ascending
+//!   indices, no zero entries, contents only for written frames).
 //! * **Hostile-input safe.** [`Reader`] bounds-checks every take and never
 //!   allocates ahead of the data actually present, so corrupted or
 //!   truncated snapshots surface as [`SnapshotError`] values — never as
@@ -27,6 +29,7 @@
 use crate::chaos::{ChaosState, ChaosStats, FaultPlan};
 use crate::costs::CycleCosts;
 use crate::machine::{Machine, MachineConfig};
+use crate::phys::{PhysMemory, ZERO_PAGE};
 use crate::pte::{Frame, PAGE_SIZE};
 use crate::stats::MachineStats;
 use crate::tlb::{Tlb, TlbEntry, TlbGeometry, TlbPreset, TlbStats};
@@ -538,6 +541,58 @@ fn read_tlb(r: &mut Reader, t: &mut Tlb) -> Result<(), SnapshotError> {
     Ok(())
 }
 
+/// Physical memory, sparse — frames with a nonzero write generation, then
+/// frames with nonzero contents (raw 4 KiB payloads) — and the frame
+/// allocator, verbatim (free-list order included).
+fn write_phys(w: &mut Writer, p: &PhysMemory) {
+    let frames = p.frame_count();
+    let nonzero_vers: Vec<u32> = (0..frames)
+        .filter(|f| p.versions[*f as usize] != 0)
+        .collect();
+    w.u64(nonzero_vers.len() as u64);
+    for f in nonzero_vers {
+        w.u32(f);
+        w.u64(p.versions[f as usize]);
+    }
+    let nonzero_frames: Vec<u32> = (0..frames)
+        .filter(|f| {
+            // Write generation 0 means the frame was never written, so it
+            // is still all-zero — skipping it turns this scan from all of
+            // physical memory into just the touched frames, which is what
+            // makes `save` cheap enough to call per segment boundary.
+            // Touched frames still get the content check (a frame can be
+            // written back to zero), as a single memcmp.
+            p.versions[*f as usize] != 0 && p.frame_bytes(Frame(*f)) != ZERO_PAGE
+        })
+        .collect();
+    w.u64(nonzero_frames.len() as u64);
+    for f in nonzero_frames {
+        w.u32(f);
+        w.raw(p.frame_bytes(Frame(f)));
+    }
+    let a = &p.allocator;
+    w.u64(a.free.len() as u64);
+    for f in &a.free {
+        w.u32(f.0);
+    }
+    w.u32(a.next_fresh);
+    let nonzero_rc: Vec<u32> = (0..a.total)
+        .filter(|f| a.refcounts[*f as usize] != 0)
+        .collect();
+    w.u64(nonzero_rc.len() as u64);
+    for f in nonzero_rc {
+        w.u32(f);
+        w.u32(a.refcounts[f as usize]);
+    }
+    w.u32(a.total);
+    w.u32(a.allocated);
+    w.u32(a.peak);
+    w.u64(a.alloc_calls);
+    w.opt_u64(a.inject_next);
+    w.opt_u64(a.inject_every);
+    w.u64(a.injected_failures);
+}
+
 /// Serialize the complete architectural state of a machine. The decoded-
 /// instruction cache and the trace ring contents are intentionally not
 /// state (see module docs); everything else round-trips exactly.
@@ -566,60 +621,7 @@ pub fn save_machine(m: &Machine) -> Vec<u8> {
     ] {
         w.u64(v);
     }
-    // Physical memory, sparse: frames with a nonzero write generation, then
-    // frames with nonzero contents (raw 4 KiB payloads).
-    let frames = m.phys.frame_count();
-    let nonzero_vers: Vec<u32> = (0..frames)
-        .filter(|f| m.phys.versions[*f as usize] != 0)
-        .collect();
-    w.u64(nonzero_vers.len() as u64);
-    for f in nonzero_vers {
-        w.u32(f);
-        w.u64(m.phys.versions[f as usize]);
-    }
-    let page = PAGE_SIZE as usize;
-    let zero_page = [0u8; PAGE_SIZE as usize];
-    let nonzero_frames: Vec<u32> = (0..frames)
-        .filter(|f| {
-            // Write generation 0 means the frame was never written, so it
-            // is still all-zero — skipping it turns this scan from all of
-            // physical memory into just the touched frames, which is what
-            // makes `save` cheap enough to call per segment boundary.
-            // Touched frames still get the content check (a frame can be
-            // written back to zero), as a single memcmp.
-            m.phys.versions[*f as usize] != 0 && {
-                let i = *f as usize * page;
-                m.phys.bytes[i..i + page] != zero_page
-            }
-        })
-        .collect();
-    w.u64(nonzero_frames.len() as u64);
-    for f in nonzero_frames {
-        w.u32(f);
-        w.raw(&m.phys.bytes[f as usize * page..(f as usize + 1) * page]);
-    }
-    // Frame allocator, verbatim (free-list order included).
-    let a = &m.phys.allocator;
-    w.u64(a.free.len() as u64);
-    for f in &a.free {
-        w.u32(f.0);
-    }
-    w.u32(a.next_fresh);
-    let nonzero_rc: Vec<u32> = (0..a.total)
-        .filter(|f| a.refcounts[*f as usize] != 0)
-        .collect();
-    w.u64(nonzero_rc.len() as u64);
-    for f in nonzero_rc {
-        w.u32(f);
-        w.u32(a.refcounts[f as usize]);
-    }
-    w.u32(a.total);
-    w.u32(a.allocated);
-    w.u32(a.peak);
-    w.u64(a.alloc_calls);
-    w.opt_u64(a.inject_next);
-    w.opt_u64(a.inject_every);
-    w.u64(a.injected_failures);
+    write_phys(&mut w, &m.phys);
     write_tlb(&mut w, &m.itlb);
     write_tlb(&mut w, &m.dtlb);
     // Tracer metadata (mask/capacity/seq/filter — not the ring contents).
@@ -647,6 +649,104 @@ pub fn load_machine(bytes: &[u8]) -> Result<Machine, SnapshotError> {
     Ok(m)
 }
 
+/// Accept frame index `f` of a sparse list only if it is above the
+/// previous one (`prev`, updated).
+fn ascending(prev: &mut Option<u32>, f: u32) -> Result<(), SnapshotError> {
+    if prev.is_some_and(|p| f <= p) {
+        return Err(SnapshotError::Malformed(
+            "sparse frame list not strictly ascending",
+        ));
+    }
+    *prev = Some(f);
+    Ok(())
+}
+
+/// Read what [`write_phys`] wrote into `p`, a fresh memory of the same
+/// frame count.
+fn read_phys(r: &mut Reader, p: &mut PhysMemory) -> Result<(), SnapshotError> {
+    // The three sparse frame lists (generations, contents, refcounts) are
+    // accepted only in the canonical form `save_machine` writes: strictly
+    // ascending indices and no zero entries. Anything else would restore
+    // state that the next save silently drops or rewrites.
+    let frames = p.frame_count();
+    let nvers = r.count(frames as usize)?;
+    let mut prev = None;
+    for _ in 0..nvers {
+        let f = r.u32()?;
+        let v = r.u64()?;
+        if f >= frames {
+            return Err(SnapshotError::Malformed("frame version index out of range"));
+        }
+        ascending(&mut prev, f)?;
+        if v == 0 {
+            return Err(SnapshotError::Malformed("zero frame version entry"));
+        }
+        // Restored verbatim, bypassing `bump`: generations must survive the
+        // round trip unchanged or decode-cache invalidation would diverge.
+        p.versions[f as usize] = v;
+    }
+    let nframes = r.count(frames as usize)?;
+    let mut prev = None;
+    for _ in 0..nframes {
+        let f = r.u32()?;
+        if f >= frames {
+            return Err(SnapshotError::Malformed("frame content index out of range"));
+        }
+        ascending(&mut prev, f)?;
+        // Generation 0 means never written, hence all zero: save skips such
+        // frames without looking at their bytes.
+        if p.versions[f as usize] == 0 {
+            return Err(SnapshotError::Malformed(
+                "frame contents without a write generation",
+            ));
+        }
+        let data = r.take_raw(PAGE_SIZE as usize)?;
+        p.restore_frame(Frame(f), data);
+    }
+    let a = &mut p.allocator;
+    let nfree = r.count(a.total as usize)?;
+    a.free.clear();
+    for _ in 0..nfree {
+        let f = r.u32()?;
+        if f == 0 || f >= a.total {
+            return Err(SnapshotError::Malformed("free-list frame out of range"));
+        }
+        a.free.push(Frame(f));
+    }
+    a.next_fresh = r.u32()?;
+    if a.next_fresh == 0 || a.next_fresh > a.total {
+        return Err(SnapshotError::Malformed("next_fresh out of range"));
+    }
+    let nrc = r.count(a.total as usize)?;
+    a.refcounts.iter_mut().for_each(|rc| *rc = 0);
+    let mut prev = None;
+    for _ in 0..nrc {
+        let f = r.u32()?;
+        let rc = r.u32()?;
+        if f as usize >= a.refcounts.len() {
+            return Err(SnapshotError::Malformed("refcount frame out of range"));
+        }
+        ascending(&mut prev, f)?;
+        if rc == 0 {
+            return Err(SnapshotError::Malformed("zero refcount entry"));
+        }
+        a.refcounts[f as usize] = rc;
+    }
+    let total = r.u32()?;
+    if total != a.total {
+        return Err(SnapshotError::Malformed(
+            "allocator total disagrees with config",
+        ));
+    }
+    a.allocated = r.u32()?;
+    a.peak = r.u32()?;
+    a.alloc_calls = r.u64()?;
+    a.inject_next = r.opt_u64()?;
+    a.inject_every = r.opt_u64()?;
+    a.injected_failures = r.u64()?;
+    Ok(())
+}
+
 fn load_machine_from(r: &mut Reader) -> Result<Machine, SnapshotError> {
     let config = read_config(r)?;
     let mut m = Machine::new(config);
@@ -670,64 +770,7 @@ fn load_machine_from(r: &mut Reader) -> Result<Machine, SnapshotError> {
         cr3_loads: r.u64()?,
         invlpgs: r.u64()?,
     };
-    let frames = m.phys.frame_count();
-    let nvers = r.count(frames as usize)?;
-    for _ in 0..nvers {
-        let f = r.u32()?;
-        let v = r.u64()?;
-        if f >= frames {
-            return Err(SnapshotError::Malformed("frame version index out of range"));
-        }
-        // Restored verbatim, bypassing `bump`: generations must survive the
-        // round trip unchanged or decode-cache invalidation would diverge.
-        m.phys.versions[f as usize] = v;
-    }
-    let page = PAGE_SIZE as usize;
-    let nframes = r.count(frames as usize)?;
-    for _ in 0..nframes {
-        let f = r.u32()?;
-        if f >= frames {
-            return Err(SnapshotError::Malformed("frame content index out of range"));
-        }
-        let data = r.take_raw(page)?;
-        m.phys.bytes[f as usize * page..(f as usize + 1) * page].copy_from_slice(data);
-    }
-    let a = &mut m.phys.allocator;
-    let nfree = r.count(a.total as usize)?;
-    a.free.clear();
-    for _ in 0..nfree {
-        let f = r.u32()?;
-        if f == 0 || f >= a.total {
-            return Err(SnapshotError::Malformed("free-list frame out of range"));
-        }
-        a.free.push(Frame(f));
-    }
-    a.next_fresh = r.u32()?;
-    if a.next_fresh == 0 || a.next_fresh > a.total {
-        return Err(SnapshotError::Malformed("next_fresh out of range"));
-    }
-    let nrc = r.count(a.total as usize)?;
-    a.refcounts.iter_mut().for_each(|rc| *rc = 0);
-    for _ in 0..nrc {
-        let f = r.u32()?;
-        let rc = r.u32()?;
-        if f as usize >= a.refcounts.len() {
-            return Err(SnapshotError::Malformed("refcount frame out of range"));
-        }
-        a.refcounts[f as usize] = rc;
-    }
-    let total = r.u32()?;
-    if total != a.total {
-        return Err(SnapshotError::Malformed(
-            "allocator total disagrees with config",
-        ));
-    }
-    a.allocated = r.u32()?;
-    a.peak = r.u32()?;
-    a.alloc_calls = r.u64()?;
-    a.inject_next = r.opt_u64()?;
-    a.inject_every = r.opt_u64()?;
-    a.injected_failures = r.u64()?;
+    read_phys(r, &mut m.phys)?;
     read_tlb(r, &mut m.itlb)?;
     read_tlb(r, &mut m.dtlb)?;
     let mask = r.u32()?;
@@ -878,12 +921,29 @@ mod tests {
         m
     }
 
+    /// Every frame's contents and write generation, frame by frame (how
+    /// much of each memory is host-backed is not machine state).
+    fn assert_phys_equal(a: &Machine, b: &Machine) {
+        assert_eq!(a.phys.frame_count(), b.phys.frame_count());
+        for f in 0..a.phys.frame_count() {
+            assert_eq!(
+                a.phys.frame_bytes(Frame(f)),
+                b.phys.frame_bytes(Frame(f)),
+                "frame {f} contents"
+            );
+            assert_eq!(
+                a.phys.frame_version(f),
+                b.phys.frame_version(f),
+                "frame {f} version"
+            );
+        }
+    }
+
     fn assert_machines_equal(a: &Machine, b: &Machine) {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.cpu.regs, b.cpu.regs);
         assert_eq!(a.stats, b.stats);
-        assert_eq!(a.phys.bytes, b.phys.bytes);
-        assert_eq!(a.phys.versions, b.phys.versions);
+        assert_phys_equal(a, b);
         assert_eq!(a.phys.allocator.free, b.phys.allocator.free);
         assert_eq!(a.phys.allocator.next_fresh, b.phys.allocator.next_fresh);
         assert_eq!(a.phys.allocator.refcounts, b.phys.allocator.refcounts);
@@ -968,7 +1028,90 @@ mod tests {
         assert_eq!(neutral(&m.itlb.stats), neutral(&r.itlb.stats));
         assert_eq!(m.dtlb.stats, r.dtlb.stats, "data path never re-decodes");
         assert_eq!(m.itlb.sets, r.itlb.sets);
-        assert_eq!(m.phys.bytes, r.phys.bytes);
+        assert_phys_equal(&m, &r);
+    }
+
+    /// A physical-memory section of a 64-frame machine in the layout
+    /// `write_phys` uses, built from raw lists so it can break the
+    /// canonical form. Every content frame holds `0x5A` bytes.
+    fn phys_section(vers: &[(u32, u64)], contents: &[u32], rcs: &[(u32, u32)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u64(vers.len() as u64);
+        for &(f, v) in vers {
+            w.u32(f);
+            w.u64(v);
+        }
+        w.u64(contents.len() as u64);
+        for &f in contents {
+            w.u32(f);
+            w.raw(&[0x5A; PAGE_SIZE as usize]);
+        }
+        w.u64(0); // free list
+        w.u32(4); // next_fresh
+        w.u64(rcs.len() as u64);
+        for &(f, rc) in rcs {
+            w.u32(f);
+            w.u32(rc);
+        }
+        w.u32(64); // total
+        w.u32(3); // allocated
+        w.u32(3); // peak
+        w.u64(3); // alloc_calls
+        w.opt_u64(None); // inject_next
+        w.opt_u64(None); // inject_every
+        w.u64(0); // injected_failures
+        w.into_bytes()
+    }
+
+    /// `save_machine` bytes of a 64-frame machine with its physical-memory
+    /// section replaced by `phys`.
+    fn with_phys_section(phys: &[u8]) -> Vec<u8> {
+        let m = Machine::new(MachineConfig {
+            phys_frames: 64,
+            ..MachineConfig::pentium3()
+        });
+        let full = save_machine(&m);
+        let mut w = Writer::new();
+        write_phys(&mut w, &m.phys);
+        let own = w.into_bytes();
+        let at = full.windows(own.len()).position(|s| s == own).unwrap();
+        [&full[..at], phys, &full[at + own.len()..]].concat()
+    }
+
+    #[test]
+    fn non_canonical_frame_lists_are_rejected() {
+        let canonical = phys_section(&[(1, 2), (3, 1)], &[1, 3], &[(1, 1), (2, 1), (3, 2)]);
+        let bytes = with_phys_section(&canonical);
+        let m = load_machine(&bytes).unwrap();
+        assert_eq!(m.phys.read_u32(Frame(3).base()), 0x5A5A_5A5A);
+        assert_eq!(save_machine(&m), bytes, "canonical input re-saves verbatim");
+        let unordered = "sparse frame list not strictly ascending";
+        let cases = [
+            // A content frame with generation 0: it would load, and the next
+            // save would drop its bytes because generation 0 means "zero".
+            (
+                phys_section(&[(1, 2)], &[1, 3], &[]),
+                "frame contents without a write generation",
+            ),
+            (
+                phys_section(&[(1, 0)], &[], &[]),
+                "zero frame version entry",
+            ),
+            (phys_section(&[], &[], &[(2, 0)]), "zero refcount entry"),
+            (phys_section(&[(3, 1), (1, 2)], &[], &[]), unordered),
+            (phys_section(&[(1, 2), (1, 2)], &[], &[]), unordered),
+            (phys_section(&[(1, 2), (3, 1)], &[3, 1], &[]), unordered),
+            (phys_section(&[(1, 2)], &[1, 1], &[]), unordered),
+            (phys_section(&[], &[], &[(3, 1), (2, 1)]), unordered),
+            (phys_section(&[], &[], &[(2, 1), (2, 1)]), unordered),
+        ];
+        for (i, (phys, why)) in cases.iter().enumerate() {
+            assert_eq!(
+                load_machine(&with_phys_section(phys)).err(),
+                Some(SnapshotError::Malformed(why)),
+                "case {i}"
+            );
+        }
     }
 
     #[test]
