@@ -21,14 +21,10 @@ use sm_machine::{Machine, MachineConfig};
 
 /// A machine with one flat user mapping and a spin loop at 0x1000.
 fn machine_with_loop() -> Machine {
-    machine_with_loop_config(MachineConfig {
+    let mut m = Machine::new(MachineConfig {
         phys_frames: 256,
         ..MachineConfig::default()
-    })
-}
-
-fn machine_with_loop_config(config: MachineConfig) -> Machine {
-    let mut m = Machine::new(config);
+    });
     let dir = m.alloc_zeroed_frame().unwrap();
     let tab = m.alloc_zeroed_frame().unwrap();
     m.phys.write_u32(
@@ -73,17 +69,6 @@ fn bench_cpu(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     g.bench_function("step_hot_loop", |b| {
         let mut m = machine_with_loop();
-        b.iter(|| m.step());
-    });
-    // The decoded-instruction cache ablation: identical machine, identical
-    // loop, cache off — the gap is the per-step decode + fetch cost the
-    // cache removes.
-    g.bench_function("step_hot_loop_no_decode_cache", |b| {
-        let mut m = machine_with_loop_config(MachineConfig {
-            phys_frames: 256,
-            decode_cache: false,
-            ..MachineConfig::default()
-        });
         b.iter(|| m.step());
     });
     g.bench_function("translate_tlb_hit", |b| {

@@ -4,9 +4,9 @@
 //! geometry (32-entry 4-way I-TLB, 64-entry 4-way D-TLB).
 //!
 //! Every section is wall-clock timed, raw interpreter throughput is probed
-//! with the decoded-instruction cache on and off, and the lot is written
-//! to `BENCH_summary.json` (override the path with `BENCH_SUMMARY_PATH`)
-//! so CI can archive per-commit performance data.
+//! with tracing off and on, and the lot is written to
+//! `BENCH_summary.json` (override the path with `BENCH_SUMMARY_PATH`) so
+//! CI can archive per-commit performance data. Takes no arguments.
 use sm_bench::summary::BenchSummary;
 use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
@@ -14,12 +14,7 @@ use sm_machine::TlbPreset;
 use std::time::Instant;
 
 fn main() {
-    if std::env::args().any(|a| a == "--no-pipeline") {
-        // A/B switch for the section walls: every kernel the sweep builds
-        // falls back to per-step dispatch. Simulation outputs must be
-        // byte-identical either way; only the wall times move.
-        sm_kernel::kernel::set_default_pipeline(false);
-    }
+    sm_bench::cli::checked_args("all_experiments", "usage: all_experiments", &[], &[]);
     let mut summary = BenchSummary::default();
     let t_total = Instant::now();
 
@@ -169,29 +164,20 @@ fn main() {
     });
 
     println!("==== Interpreter throughput =====================================\n");
-    for (name, cache, trace, pipeline) in [
-        ("probe-cache-on", true, false, true),
-        ("probe-cache-off", false, false, true),
-        ("probe-trace-on", true, true, true),
-        ("probe-pipeline-on", true, false, true),
-        ("probe-pipeline-off", true, false, false),
-    ] {
-        let p = summary.section(name, || {
-            sm_bench::summary::steps_probe_with(cache, trace, pipeline)
-        });
+    for (name, trace) in [("probe-cache-on", false), ("probe-trace-on", true)] {
+        let p = summary.section(name, || sm_bench::summary::steps_probe(trace));
         println!(
-            "decode cache {:>3}, trace {:>3}, pipeline {:>3}: {:.2} Minsn/s ({} insns in {:.1} ms; hits={} misses={} invalidations={} trace_events={} sb_hits={} sb_slow={})",
-            if cache { "on" } else { "off" },
+            "trace {:>3}: {:.2} Minsn/s ({} insns in {:.1} ms; dc_hits={} dc_misses={} trace_events={} sb_hits={} sb_builds={} sb_invalidations={} sb_slow={})",
             if trace { "on" } else { "off" },
-            if pipeline { "on" } else { "off" },
             p.steps_per_sec / 1e6,
             p.instructions,
             p.wall_ms,
             p.dcache.hits,
             p.dcache.misses,
-            p.dcache.invalidations,
             p.trace_events,
             p.sblocks.hits,
+            p.sblocks.builds,
+            p.sblocks.invalidations,
             p.sblocks.slow_steps,
         );
         summary.probes.push(p);

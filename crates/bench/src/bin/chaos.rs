@@ -87,14 +87,17 @@ fn full_scenarios() -> Vec<Scenario> {
     scenarios
 }
 
+const USAGE: &str = "usage: chaos [--quick] [--trace] [--shards N]
+       chaos --fleet
+       chaos --replay <dump.smcdump> [--stop-seq <seq>]
+       chaos --dump-demo <out.smcdump>";
+
 /// A malformed command line: every arg-parsing failure funnels here
 /// (never a panic — the replay path handles untrusted files and must
 /// fail with a diagnostic and a nonzero exit however it is misused).
 fn usage_error(msg: &str) -> i32 {
     eprintln!("chaos: {msg}");
-    eprintln!("usage: chaos [--quick] [--trace] [--shards N] [--no-pipeline]");
-    eprintln!("       chaos --replay <dump.smcdump> [--stop-seq <seq>] [--no-pipeline]");
-    eprintln!("       chaos --dump-demo <out.smcdump> [--no-pipeline]");
+    eprintln!("{USAGE}");
     2
 }
 
@@ -252,13 +255,12 @@ fn fleet_scenarios() -> i32 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--no-pipeline") {
-        // A/B switch: every kernel this process constructs steps
-        // per-instruction instead of through the superblock pipeline.
-        // All outputs must be byte-identical either way (CI sweeps both).
-        sm_kernel::kernel::set_default_pipeline(false);
-    }
+    let args = sm_bench::cli::checked_args(
+        "chaos",
+        USAGE,
+        &["--quick", "--trace", "--fleet"],
+        &["--shards", "--replay", "--stop-seq", "--dump-demo"],
+    );
     if let Some(i) = args.iter().position(|a| a == "--replay") {
         let path = match flag_value(&args, i, "--replay") {
             Ok(p) => p,
@@ -279,7 +281,7 @@ fn main() {
             None => replay(path),
         });
     }
-    if std::env::args().any(|a| a == "--stop-seq") {
+    if args.iter().any(|a| a == "--stop-seq") {
         std::process::exit(usage_error("--stop-seq only makes sense with --replay"));
     }
     if let Some(i) = args.iter().position(|a| a == "--dump-demo") {
@@ -303,8 +305,8 @@ fn main() {
         };
         std::process::exit(sharded_sweep(n));
     }
-    let quick = std::env::args().any(|a| a == "--quick");
-    let trace = std::env::args().any(|a| a == "--trace");
+    let quick = args.iter().any(|a| a == "--quick");
+    let trace = args.iter().any(|a| a == "--trace");
     let scenarios = if quick {
         quick_scenarios()
     } else {

@@ -5,27 +5,21 @@
 //! serial-verified and once segment-parallel (the PR 7 sharded
 //! scheduler), printing the timing comparison and exiting non-zero if
 //! the two runs were not byte-identical.
-//!
-//! `--no-pipeline` disables the superblock execution pipeline (per-step
-//! dispatch instead); the rendered bars must be byte-identical either
-//! way — only the wall time may differ.
 
 use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
 use sm_machine::TlbPreset;
 
+const USAGE: &str = "usage: fig6_normalized [--shards N]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--no-pipeline") {
-        // A/B switch: run the workloads per-`step()` instead of through
-        // the superblock pipeline (the bars must not change either way).
-        sm_kernel::kernel::set_default_pipeline(false);
-    }
+    let args = sm_bench::cli::checked_args("fig6_normalized", USAGE, &[], &["--shards"]);
     if let Some(i) = args.iter().position(|a| a == "--shards") {
         let n = match args.get(i + 1).map(|v| v.parse::<usize>()) {
             Some(Ok(n)) if n >= 1 => n,
             _ => {
                 eprintln!("fig6_normalized: --shards needs a segment count >= 1");
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             }
         };

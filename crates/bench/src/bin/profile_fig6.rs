@@ -13,14 +13,15 @@ use sm_workloads::{gzip, httpd};
 use std::time::Instant;
 
 fn main() {
-    if std::env::args().any(|a| a == "--no-pipeline") {
-        // A/B switch: attribute the superblock pipeline's win per sub-run
-        // (the simulation outputs must not change either way).
-        sm_kernel::kernel::set_default_pipeline(false);
-    }
+    let args = sm_bench::cli::checked_args(
+        "profile_fig6",
+        "usage: profile_fig6 [--pentium3]",
+        &["--pentium3"],
+        &[],
+    );
     let base = Protection::Unprotected;
     let prot = Protection::SplitMem(ResponseMode::Break);
-    let tlb = if std::env::args().any(|a| a == "--pentium3") {
+    let tlb = if args.iter().any(|a| a == "--pentium3") {
         TlbPreset::pentium3()
     } else {
         TlbPreset::default()

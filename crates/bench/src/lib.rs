@@ -19,6 +19,7 @@
 
 pub mod ablation;
 pub mod chaos;
+pub mod cli;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;

@@ -210,19 +210,14 @@ pub fn compare_runs(serial: &ShardedRun, sharded: &ShardedRun) -> Vec<String> {
     notes
 }
 
-/// Boot a kernel for the spec. The decode cache is disabled: its warmth
-/// is the one state component a snapshot does not carry (restored kernels
-/// decode cold, shifting only TLB-hit counters), so it must be off for
-/// segment boundaries to be invisible — in *both* modes, so the serial
-/// reference measures the same machine.
+/// Boot a kernel for the spec. Segments restore with cold code caches,
+/// which is invisible: cache warmth shows in no modelled counter.
 fn boot(spec: &ShardSpec) -> Kernel {
-    let mut k = if spec.install_shell {
+    if spec.install_shell {
         kernel_with_on(spec.protection, spec.tlb, spec.kconfig)
     } else {
         spec.protection.kernel_on(spec.tlb, spec.kconfig)
-    };
-    k.sys.machine.config.decode_cache = false;
-    k
+    }
 }
 
 /// Spawn every image, returning the first pid (verdict target), or

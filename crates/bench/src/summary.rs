@@ -1,7 +1,7 @@
 //! Machine-readable benchmark summary (`BENCH_summary.json`).
 //!
 //! `all_experiments` times every section it runs, probes raw interpreter
-//! throughput (steps/sec) with the decode cache on and off, and serialises
+//! throughput (steps/sec) with tracing off and on, and serialises
 //! the lot as JSON so CI can archive per-commit performance without
 //! parsing the human-readable report. The JSON is hand-rolled: the shape
 //! is tiny, fixed, and all-ASCII, and the workspace deliberately carries
@@ -28,12 +28,8 @@ pub struct SectionTiming {
 /// One raw-throughput probe run.
 #[derive(Debug, Clone)]
 pub struct StepsProbe {
-    /// Whether the decoded-instruction cache was enabled.
-    pub decode_cache: bool,
     /// Whether the trace subsystem was enabled (all layers).
     pub trace: bool,
-    /// Whether the superblock execution pipeline was enabled.
-    pub pipeline: bool,
     /// Trace events captured by the run (zero when tracing is off).
     pub trace_events: u64,
     /// Instructions retired.
@@ -42,9 +38,10 @@ pub struct StepsProbe {
     pub wall_ms: f64,
     /// Retired instructions per wall-clock second.
     pub steps_per_sec: f64,
-    /// Decode-cache counters observed by the run (all zero when disabled).
+    /// Decode-cache counters observed by the run (the per-step path's
+    /// cache; the superblock pipeline never consults it).
     pub dcache: DecodeCacheStats,
-    /// Superblock-pipeline counters (all zero when the pipeline is off).
+    /// Superblock-pipeline counters.
     pub sblocks: SuperblockStats,
 }
 
@@ -155,7 +152,7 @@ pub struct BenchSummary {
     pub sections: Vec<SectionTiming>,
     /// End-to-end wall-clock in milliseconds.
     pub total_wall_ms: f64,
-    /// Interpreter throughput probes (cache on / off).
+    /// Interpreter throughput probes (trace off / on).
     pub probes: Vec<StepsProbe>,
     /// Cross-process interference counters (absent if the section did not
     /// run).
@@ -201,16 +198,13 @@ impl BenchSummary {
             .iter()
             .map(|p| {
                 format!(
-                    "    {{\"decode_cache\": {}, \"trace\": {}, \"pipeline\": {}, \
-                     \"trace_events\": {}, \
+                    "    {{\"trace\": {}, \"trace_events\": {}, \
                      \"instructions\": {}, \"wall_ms\": {:.3}, \
                      \"steps_per_sec\": {:.0}, \"dcache_hits\": {}, \"dcache_misses\": {}, \
                      \"dcache_invalidations\": {}, \"superblock_hits\": {}, \
                      \"superblock_builds\": {}, \"superblock_invalidations\": {}, \
                      \"superblock_bailouts\": {}, \"superblock_slow_steps\": {}}}",
-                    p.decode_cache,
                     p.trace,
-                    p.pipeline,
                     p.trace_events,
                     p.instructions,
                     p.wall_ms,
@@ -330,17 +324,11 @@ impl BenchSummary {
 }
 
 /// Measure raw interpreter throughput on a tight user-mode loop under
-/// stand-alone split memory, with the decode cache on or off and the
-/// trace subsystem on or off. The trace-on/trace-off pair bounds the
-/// disabled-path cost of tracing: the loop emits essentially no events,
-/// so any throughput gap is pure mask-check overhead on the hot path.
-pub fn steps_probe(decode_cache: bool, trace: bool) -> StepsProbe {
-    steps_probe_with(decode_cache, trace, sm_kernel::kernel::default_pipeline())
-}
-
-/// [`steps_probe`] with an explicit superblock-pipeline setting (the
-/// `probe-pipeline-on` / `probe-pipeline-off` rows CI tracks).
-pub fn steps_probe_with(decode_cache: bool, trace: bool, pipeline: bool) -> StepsProbe {
+/// stand-alone split memory, with the trace subsystem on or off. The
+/// trace-on/trace-off pair bounds the disabled-path cost of tracing: the
+/// loop emits essentially no events, so any throughput gap is pure
+/// mask-check overhead on the hot path.
+pub fn steps_probe(trace: bool) -> StepsProbe {
     let prog = ProgramBuilder::new("/bin/probe")
         .code(
             "_start:
@@ -358,11 +346,9 @@ pub fn steps_probe_with(decode_cache: bool, trace: bool, pipeline: bool) -> Step
         KernelConfig {
             aslr_stack: false,
             trace: if trace { sm_trace::mask::ALL } else { 0 },
-            pipeline,
             ..KernelConfig::default()
         },
     );
-    k.sys.machine.config.decode_cache = decode_cache;
     k.spawn(&prog.image).expect("probe spawns");
     let t0 = Instant::now();
     let exit = k.run(10_000_000_000);
@@ -370,9 +356,7 @@ pub fn steps_probe_with(decode_cache: bool, trace: bool, pipeline: bool) -> Step
     assert_eq!(exit, RunExit::AllExited, "probe must run to completion");
     let instructions = k.sys.machine.stats.instructions;
     StepsProbe {
-        decode_cache,
         trace,
-        pipeline,
         trace_events: k.sys.machine.tracer.emitted(),
         instructions,
         wall_ms: dt.as_secs_f64() * 1e3,
@@ -442,24 +426,26 @@ mod tests {
 
     #[test]
     fn probe_counts_instructions_and_cache_traffic() {
-        let on = steps_probe(true, false);
-        assert!(on.instructions > 2_000_000);
-        assert!(on.dcache.hits > 1_000_000, "{:?}", on.dcache);
-        assert_eq!(on.trace_events, 0);
-        let off = steps_probe(false, false);
-        assert_eq!(off.dcache, DecodeCacheStats::default());
-        assert!(off.instructions > 2_000_000);
+        let p = steps_probe(false);
+        assert!(p.instructions > 2_000_000);
+        assert_eq!(p.trace_events, 0);
+        // One block re-entered per loop iteration; the decode cache only
+        // serves the pipeline's slow steps.
+        let (sb, dc) = (p.sblocks, p.dcache);
+        assert!(sb.hits > 900_000 && sb.builds > 0, "{sb:?}");
+        assert_eq!(sb.invalidations + sb.bailouts, 0, "{sb:?}");
+        assert!(dc.hits + dc.misses <= sb.slow_steps, "{dc:?} vs {sb:?}");
     }
 
     #[test]
     fn traced_probe_captures_events_without_changing_the_run() {
-        let traced = steps_probe(true, true);
+        let traced = steps_probe(true);
         assert!(traced.trace, "flag must round-trip");
         assert!(
             traced.trace_events > 0,
             "spawn/exit must emit at least a few events"
         );
-        let plain = steps_probe(true, false);
+        let plain = steps_probe(false);
         assert_eq!(
             traced.instructions, plain.instructions,
             "tracing must not perturb the simulation"

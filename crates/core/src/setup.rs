@@ -177,12 +177,11 @@ fn warm_cache_key(p: &Protection, tlb: &TlbPreset, kconfig: &KernelConfig) -> St
         trace,
         trace_capacity,
         trace_pid,
-        pipeline,
     } = kconfig;
     format!(
         "{p:?}|{tlb:?}|{quantum_cycles}|{stack_size}|{stack_top}|{aslr_stack}|{seed}\
          |{heap_limit}|{pipe_capacity}|{chaos:?}|{asid_tlbs}|{livelock_threshold}\
-         |{trace}|{trace_capacity}|{trace_pid:?}|{pipeline}"
+         |{trace}|{trace_capacity}|{trace_pid:?}"
     )
 }
 

@@ -26,7 +26,8 @@ use sm_machine::{Machine, MachineConfig, Trap};
 use sm_rng::StdRng;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Kernel construction parameters.
+/// Kernel construction parameters. The execution tier is not one: see
+/// `Kernel::run_slice`.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelConfig {
     /// Scheduler time slice in simulated cycles.
@@ -78,35 +79,6 @@ pub struct KernelConfig {
     /// everything. Filtering happens *before* sequence assignment, so a
     /// filtered stream stays gap-free.
     pub trace_pid: Option<u32>,
-    /// Execute user code through the superblock pipeline
-    /// ([`Machine::run_block`]) instead of per-[`Machine::step`]
-    /// dispatch whenever no chaos plan is armed and no stop-sequence
-    /// watch is active. Byte-identical either way — cycles, stats, TLB
-    /// counters, trace stream, event log and every verdict (see
-    /// [`sm_machine::superblock`]) — so it defaults to on; tests flip it
-    /// off to check exactly that equivalence. Not serialized by the
-    /// snapshot codec: the pipeline is an execution *strategy*, not
-    /// machine state, and a restored kernel keeps its own setting.
-    pub pipeline: bool,
-}
-
-/// Process-wide default for [`KernelConfig::pipeline`], so A/B harness
-/// binaries (`chaos --no-pipeline`, `fig6_normalized --no-pipeline`) can
-/// flip every internally-constructed kernel without threading a flag
-/// through each sweep entry point.
-static PIPELINE_DEFAULT: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Override what `KernelConfig::default()` returns for
-/// [`KernelConfig::pipeline`] in this process (A/B harnesses only; tests
-/// that need a specific setting should set the field explicitly).
-pub fn set_default_pipeline(on: bool) {
-    PIPELINE_DEFAULT.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The process-wide [`KernelConfig::pipeline`] default (true unless
-/// [`set_default_pipeline`] was called).
-pub fn default_pipeline() -> bool {
-    PIPELINE_DEFAULT.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 impl Default for KernelConfig {
@@ -125,7 +97,6 @@ impl Default for KernelConfig {
             trace: 0,
             trace_capacity: 0,
             trace_pid: None,
-            pipeline: default_pipeline(),
         }
     }
 }
@@ -586,14 +557,16 @@ impl Kernel {
     }
 
     fn run_slice(&mut self, pid: Pid, slice_end: u64, stop_seq: Option<u64>) {
-        // The superblock pipeline may only be entered when nothing has to
-        // happen *between* retires: no chaos plan drawing per-step fault
-        // decisions and no stop-sequence watch polling per-step trace
-        // emissions. Signals, preemption and process-state changes only
-        // originate from kernel code, which never runs between
-        // `Trap::None` retires, so those checks keep their per-trap
-        // cadence either way.
-        let pipeline = self.sys.config.pipeline && self.sys.chaos.is_none() && stop_seq.is_none();
+        // User code runs through the superblock pipeline
+        // (`Machine::run_block`) unless something has to happen *between*
+        // retires: a chaos plan drawing per-step fault decisions, a
+        // stop-sequence watch polling per-step trace emissions, or an
+        // armed trap flag (checked per entry below). Both paths are
+        // observably identical (see `sm_machine::superblock`). Signals,
+        // preemption and process-state changes only originate from kernel
+        // code, which never runs between `Trap::None` retires, so those
+        // checks keep their per-trap cadence either way.
+        let pipeline = self.sys.chaos.is_none() && stop_seq.is_none();
         loop {
             if self.sys.machine.cycles >= slice_end || std::mem::take(&mut self.sys.preempt) {
                 return; // preempted or yielded

@@ -166,11 +166,6 @@ fn load_config(bytes: &[u8]) -> Result<KernelConfig, SnapshotError> {
         trace: r.u32()?,
         trace_capacity: r.count(MAX_TRACE_CAPACITY)?,
         trace_pid: r.opt_u32()?,
-        // Deliberately not serialized (the CONF format is frozen): the
-        // pipeline is an execution strategy, not machine state — runs are
-        // byte-identical either way — so a restored kernel takes the
-        // restoring process's default.
-        pipeline: crate::kernel::default_pipeline(),
     };
     done(&r)?;
     Ok(c)
@@ -1210,12 +1205,9 @@ mod tests {
             .data("msg: .asciz \"hi\\n\"")
             .build()
             .unwrap();
+        // Code caches restore cold (they are host state, not architectural
+        // state) and must not show in any counter the checks below compare.
         let mut a = Kernel::with_engine(Box::new(NullEngine));
-        // The decode cache restores cold (it is not architectural state);
-        // its only observable trace is extra same-page I-TLB hit counts
-        // while instructions re-decode, which would break the byte-identity
-        // check below. Disable it so both halves count fetches identically.
-        a.sys.machine.config.decode_cache = false;
         let pid = a.spawn(&prog.image).unwrap();
         // Interrupt mid-program, checkpoint, and race the original against
         // the restored copy to completion.
@@ -1228,6 +1220,8 @@ mod tests {
         assert_eq!(ea, eb);
         assert_eq!(a.sys.machine.cycles, b.sys.machine.cycles);
         assert_eq!(a.sys.machine.stats, b.sys.machine.stats);
+        assert_eq!(a.sys.machine.itlb.stats, b.sys.machine.itlb.stats);
+        assert_eq!(a.sys.machine.dtlb.stats, b.sys.machine.dtlb.stats);
         assert_eq!(a.sys.stats, b.sys.stats);
         assert_eq!(a.sys.proc(pid).output, b.sys.proc(pid).output);
         assert_eq!(b.sys.proc(pid).output_string(), "hi\n".repeat(200));

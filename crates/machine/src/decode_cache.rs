@@ -23,16 +23,13 @@
 //!
 //! # Transparency
 //!
-//! The cache must not change the modeled machine. The fetch path always
-//! performs the byte-1 I-TLB translation (walks, page faults, A/D-bit
-//! updates, LRU recency and `tlb_walk` charges are identical with the cache
-//! on or off), and instructions whose encoding crosses a page boundary are
-//! never cached (their continuation bytes translate through a *different*
-//! page whose mapping can change independently). A proptest in
-//! `tests/decode_cache_props.rs` runs arbitrary programs both ways and
-//! requires identical [`MachineStats`](crate::stats::MachineStats), cycles
-//! and final machine state. Cache effectiveness counters therefore live in
-//! [`DecodeCacheStats`], *outside* `MachineStats`.
+//! The cache is host state: a fetch makes the same I-TLB lookups whether
+//! its decode is cached or not (see [`Machine::step`](crate::Machine::step)),
+//! and instructions whose encoding crosses a page boundary are never
+//! cached. `tests/decode_cache_props.rs` runs arbitrary programs warm and
+//! cold and requires identical modelled state, so effectiveness counters
+//! live in [`DecodeCacheStats`], *outside*
+//! [`MachineStats`](crate::stats::MachineStats).
 
 use crate::isa::Decoded;
 use crate::pte::PAGE_SIZE;
@@ -124,8 +121,7 @@ impl FrameDecodes {
 }
 
 /// Decoded-instruction cache over all physical frames; one lives in every
-/// [`Machine`](crate::Machine) (enabled via
-/// [`MachineConfig::decode_cache`](crate::MachineConfig::decode_cache)).
+/// [`Machine`](crate::Machine), serving [`Machine::step`](crate::Machine::step).
 pub struct DecodeCache {
     /// Indexed by PFN; a frame gets a table lazily on its first cached
     /// decode (8 KiB of slots plus its decodes, per frame that ever

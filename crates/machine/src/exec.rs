@@ -12,6 +12,7 @@ use crate::isa::{
     self, AluOp, CodeSource, Cond, Decoded, Dir, Grp5Op, Insn, Mem, Rm, ShiftCount, ShiftOp, UnOp,
 };
 use crate::machine::{CfiEvent, CfiKind, Machine};
+use crate::pte;
 
 /// How an instruction retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,57 +48,59 @@ impl From<PageFaultInfo> for Exc {
     }
 }
 
-/// Fetches instruction bytes through the I-TLB, advancing a cursor.
+/// Fetches instruction bytes through the I-TLB, advancing a cursor. Only
+/// the first byte on each page is translated; later bytes on that page
+/// reuse its frame.
 struct FetchSource<'m> {
     m: &'m mut Machine,
     addr: u32,
+    /// `(vpn, frame base)` of the page last translated.
+    page: (u32, u32),
 }
 
 impl CodeSource for FetchSource<'_> {
     type Err = PageFaultInfo;
 
     fn next(&mut self) -> Result<u8, PageFaultInfo> {
-        let p = self
+        let vpn = pte::vpn(self.addr);
+        if vpn != self.page.0 {
+            let p = self
+                .m
+                .translate(self.addr, Access::Fetch, Privilege::User)?;
+            self.page = (vpn, p - pte::page_offset(p));
+        }
+        let b = self
             .m
-            .translate(self.addr, Access::Fetch, Privilege::User)?;
+            .phys
+            .read_u8(self.page.1 | pte::page_offset(self.addr));
         self.addr = self.addr.wrapping_add(1);
-        Ok(self.m.phys.read_u8(p))
+        Ok(b)
     }
 }
 
 /// Fetch and decode the instruction at `eip`, returning the outcome and the
 /// address of the following instruction.
 ///
-/// With the decode cache enabled this still performs the **byte-1 I-TLB
-/// translation unconditionally**, so TLB fills/walks/LRU recency, A/D-bit
-/// updates, page faults and `tlb_walk` cycle charges are identical to the
-/// uncached byte-by-byte path (bytes 2..len of a non-page-crossing
-/// instruction can only ever be same-page TLB hits, which charge nothing
-/// and change no [`MachineStats`](crate::stats::MachineStats) counter).
-/// Instructions whose encoding crosses into the next page are never cached:
-/// the continuation page's mapping can change independently of the first
-/// frame's write-generation.
+/// One I-TLB lookup per page the encoding touches, cached or not (see
+/// [`Machine::step`]). Page-crossing encodings are never cached: the next
+/// page's mapping can change independently of this frame's generation.
 fn fetch_decode(m: &mut Machine, eip: u32) -> Result<(Decoded, u32), Exc> {
-    if !m.config.decode_cache {
-        let mut src = FetchSource { m, addr: eip };
-        let decoded = isa::decode(&mut src)?;
-        let next_eip = src.addr;
-        return Ok((decoded, next_eip));
-    }
     let p = m.translate(eip, Access::Fetch, Privilege::User)?;
-    let pfn = p >> crate::pte::PAGE_SHIFT;
-    let off = crate::pte::page_offset(p);
+    let pfn = p >> pte::PAGE_SHIFT;
+    let off = pte::page_offset(p);
     let version = m.phys.frame_version(pfn);
     if let Some(c) = m.decode_cache.lookup(pfn, off, version) {
         return Ok((c.decoded, eip.wrapping_add(c.len as u32)));
     }
-    // Miss: decode byte-by-byte exactly as the uncached path would (the
-    // byte-1 re-translation is a guaranteed I-TLB hit and thus free).
-    let mut src = FetchSource { m, addr: eip };
+    let mut src = FetchSource {
+        m,
+        addr: eip,
+        page: (pte::vpn(eip), p - off),
+    };
     let decoded = isa::decode(&mut src)?;
     let next_eip = src.addr;
     let len = next_eip.wrapping_sub(eip);
-    if off + len <= crate::pte::PAGE_SIZE {
+    if off + len <= pte::PAGE_SIZE {
         m.decode_cache.insert(
             pfn,
             off,

@@ -11,7 +11,8 @@ use crate::stats::MachineStats;
 use crate::tlb::{Tlb, TlbEntry, TlbPreset};
 use sm_trace::{mask, FlushScope, Tracer};
 
-/// Construction-time machine parameters.
+/// Construction-time machine parameters. The code caches have no switch:
+/// no modelled counter depends on them (see [`Machine::step`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
     /// Number of 4 KiB physical frames (default 16384 = 64 MiB).
@@ -31,13 +32,6 @@ pub struct MachineConfig {
     /// an architecture needs "no complex data or instruction TLB loading
     /// techniques".
     pub software_tlb: bool,
-    /// Cache completed instruction decodes per (physical frame, offset),
-    /// invalidated by frame write-generation (see
-    /// [`decode_cache`](crate::decode_cache)). Transparent to the modeled
-    /// machine — identical [`MachineStats`], cycles and TLB/pagetable
-    /// behaviour either way — so it defaults to on; tests flip it off to
-    /// check exactly that equivalence.
-    pub decode_cache: bool,
     /// Machine-layer trace mask ([`sm_trace::mask`] bits). 0 (the default)
     /// disables tracing entirely; the kernel ORs its own layers in at
     /// construction. Tracing is transparent to the modeled machine:
@@ -64,7 +58,6 @@ impl Default for MachineConfig {
             tlb: TlbPreset::default(),
             nx_enabled: false,
             software_tlb: false,
-            decode_cache: true,
             trace: 0,
             trace_capacity: Tracer::DEFAULT_CAPACITY,
             cfi_events: false,
@@ -184,13 +177,12 @@ pub struct Machine {
     pub cycles: u64,
     /// Event counters.
     pub stats: MachineStats,
-    /// Decoded-instruction cache (consulted only when
-    /// [`MachineConfig::decode_cache`] is set; its counters stay zero
-    /// otherwise).
+    /// Decoded-instruction cache backing [`Machine::step`]. Host state
+    /// only: never serialized, rebuilt cold after a snapshot restore, and
+    /// invisible to the modeled machine (see [`Machine::step`]).
     pub decode_cache: DecodeCache,
     /// Superblock cache backing [`Machine::run_block`] (the pipeline
-    /// fast path). Derived-only state like the decode cache: never
-    /// serialized, rebuilt cold after a snapshot restore, and untouched
+    /// fast path). Host state only, like the decode cache, and untouched
     /// by machines driven purely through [`Machine::step`].
     pub superblocks: crate::superblock::SuperblockCache,
     /// Flight recorder. Owned by the machine so every layer — hardware,
@@ -722,12 +714,17 @@ impl Machine {
     /// [`Trap::Syscall`] and [`Trap::DebugStep`] the instruction has
     /// retired and `eip` points at the next instruction.
     ///
-    /// Cycle accounting is independent of host decode work: the per-retire
-    /// [`CycleCosts::insn`] charge below and the [`CycleCosts::tlb_walk`]
-    /// charge inside [`Machine::translate`] are the only fetch-path charges,
-    /// and both fire identically whether the decode came from the
-    /// byte-by-byte decoder or the decode cache (same-page continuation
-    /// bytes are TLB hits, which charge nothing).
+    /// Instruction fetch makes one I-TLB lookup per page the encoding
+    /// touches: the page of its first byte, plus the next page for an
+    /// instruction that crosses into it. The decode cache, the
+    /// byte-by-byte decoder and [`Machine::run_block`] all follow this
+    /// rule, so no modelled counter depends on host cache warmth. (Another
+    /// lookup of the page just translated could only bump
+    /// [`TlbStats::hits`](crate::tlb::TlbStats::hits): rotate-to-MRU and
+    /// the 3C shadow touch are no-ops for the most recent key.) The
+    /// per-retire [`CycleCosts::insn`] charge below and the
+    /// [`CycleCosts::tlb_walk`] charge inside [`Machine::translate`] are
+    /// the only fetch-path cycle charges.
     pub fn step(&mut self) -> Trap {
         let snapshot = self.cpu.regs;
         let tf = self.cpu.regs.flag(crate::cpu::flags::TF);

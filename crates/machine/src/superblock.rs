@@ -1,41 +1,43 @@
 //! Superblock execution tier: pre-decoded straight-line runs.
 //!
-//! The decode cache (PR 3) removed per-retire *decode* work but the step
-//! loop still pays per-retire *dispatch* work: a full [`Machine::step`]
-//! call, a byte-1 I-TLB [`Machine::translate`], a trap-enum match and a
+//! The decode cache removed per-retire *decode* work but the step loop
+//! still pays per-retire *dispatch* work: a full [`Machine::step`] call,
+//! a byte-1 I-TLB [`Machine::translate`], a trap-enum match and a
 //! per-step trip back through the kernel's `run_slice` bookkeeping — for
 //! every instruction of a hot loop whose outcome is already known to be
-//! "same page, guaranteed I-TLB hit, retire normally". This module
-//! extends the per-instruction cache into a **superblock cache**: maximal
-//! straight-line decode runs keyed by `(physical frame, entry offset)`,
-//! executed back-to-back by [`Machine::run_block`] without re-entering
-//! the dispatcher.
+//! "same page, guaranteed I-TLB hit, retire normally". This module keeps
+//! a **superblock cache**: maximal straight-line decode runs keyed by
+//! `(physical frame, entry offset)`, executed back-to-back by
+//! [`Machine::run_block`] without re-entering the dispatcher. The two
+//! caches are independent host state: the decode cache serves
+//! [`Machine::step`], superblocks serve [`Machine::run_block`], and
+//! neither touches the other.
 //!
 //! # Byte-identity
 //!
-//! The pipeline must be invisible to the modeled machine — same bar the
-//! decode cache and the PR 7 shard zipper met. Cycle ledger, TLB stats
-//! (hits, misses, 3C classes, evictions), [`MachineStats`], the trace
-//! ring and every kernel-visible trap must match the per-`step()` path
-//! exactly. The key observations that make a fast path possible at all:
+//! The pipeline must be invisible to the modeled machine. Cycle ledger,
+//! TLB stats (hits, misses, 3C classes, evictions), [`MachineStats`], the
+//! trace ring and every kernel-visible trap must match the per-`step()`
+//! path exactly. The key observations that make a fast path possible at
+//! all:
 //!
-//! 1. **Within a block every fetch touches one page.** The block entry
-//!    performs the byte-1 translation *for real* (MRU rotation, shadow
-//!    recency, hit/miss accounting, A/D bits). Every later same-block
-//!    fetch byte is then a *guaranteed hit on the same entry*: the
-//!    set-LRU rotate and the shadow-model touch are both no-ops for an
-//!    already-MRU key, so the only architectural effect is
-//!    `TlbStats::hits` advancing — which the fast path replays as a
-//!    counter increment. Nothing can evict the entry mid-block: data
-//!    accesses go through the *data* TLB, chaos injection is fenced off
-//!    (the kernel only enters the pipeline with no plan armed), and the
-//!    ISA has no TLB-management instructions.
-//! 2. **A translate hit emits no trace event** (only evicts, fills and
+//! 1. **A fetch is one I-TLB lookup per page.** [`Machine::step`] makes
+//!    one lookup for the page holding an instruction's first byte (plus
+//!    one for a page-crosser's next page, and such instructions never
+//!    enter a block), so every op here costs exactly one lookup.
+//! 2. **Within a block every fetch touches one page.** The block entry
+//!    performs the translation *for real* (MRU rotation, shadow recency,
+//!    hit/miss accounting, A/D bits). Every later same-block fetch is
+//!    then a *guaranteed hit on the same entry*: the set-LRU rotate and
+//!    the shadow-model touch are both no-ops for an already-MRU key, so
+//!    the only architectural effect is `TlbStats::hits` advancing —
+//!    which the fast path replays as a counter increment. Nothing can
+//!    evict the entry mid-block: data accesses go through the *data*
+//!    TLB, chaos injection is fenced off (the kernel only enters the
+//!    pipeline with no plan armed), and the ISA has no TLB-management
+//!    instructions.
+//! 3. **A translate hit emits no trace event** (only evicts, fills and
 //!    flushes are traced), so replayed hits leave the ring untouched.
-//! 3. **The decode cache is still consulted per op** — its hit/miss/
-//!    invalidation counters, insertions and the miss path's extra
-//!    `len` fetch-byte TLB hits are reproduced exactly, so
-//!    `DecodeCacheStats` stay identical too.
 //!
 //! Everything that *cannot* be replayed exactly falls back: a cold or
 //! rights-dirty I-TLB entry, a software-TLB machine, a page-crossing
@@ -62,13 +64,11 @@
 //! decoded fall-through address.
 //!
 //! Pipeline state is **derived-only**: never serialized by the snapshot
-//! codec, rebuilt cold after a restore (the same contract the decode
-//! cache pins with `decode_cache_warmth_only_affects_tlb_hit_counters` —
-//! except superblock warmth affects *nothing*, because the per-op
-//! accounting above replays the decode-cache state machine either way).
-//! Effectiveness counters live in [`SuperblockStats`], outside
-//! [`MachineStats`], so equivalence tests can compare the latter for
-//! equality.
+//! codec and rebuilt cold after a restore. Warmth affects no modelled
+//! counter, because an op's fetch accounting does not depend on whether
+//! its block was cached. Effectiveness counters live in
+//! [`SuperblockStats`], outside [`MachineStats`], so equivalence tests
+//! can compare the latter for equality.
 //!
 //! [`MachineStats`]: crate::stats::MachineStats
 //! [`PhysMemory::frame_version`]: crate::phys::PhysMemory::frame_version
@@ -86,8 +86,7 @@ use crate::pte::{self, Frame};
 /// Pipeline-effectiveness counters. Deliberately **not** part of
 /// [`MachineStats`](crate::stats::MachineStats): the superblock tier is
 /// transparent to the modeled machine, and keeping these separate lets
-/// the pipeline-on ≡ pipeline-off proptest compare `MachineStats` for
-/// equality.
+/// the pipeline ≡ per-step proptests compare `MachineStats` for equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SuperblockStats {
     /// Block entries answered from the cache.
@@ -288,8 +287,7 @@ struct FrameBlocks {
     /// means the frame has been written since: every block is stale.
     version: u64,
     /// Blocks keyed by entry offset. Overlapping blocks (a jump into the
-    /// middle of an existing run) simply coexist; the decode cache
-    /// underneath deduplicates the per-op accounting.
+    /// middle of an existing run) simply coexist.
     blocks: BTreeMap<u32, Arc<Block>>,
 }
 
@@ -442,12 +440,14 @@ impl Machine {
     ///
     /// Byte-identical to calling [`Machine::step`] in a loop with the
     /// same budget check before every call — cycles, stats, TLB
-    /// counters, decode-cache counters, trace events and the returned
-    /// trap all match (see the [module docs](self) for why). The caller
-    /// owns everything a per-step loop would do *between* retires; this
-    /// must only be entered when nothing can happen between them (no
-    /// chaos plan armed, no stop-sequence watch, no pending signal — the
-    /// kernel's `run_slice` enforces exactly that).
+    /// counters, trace events and the returned trap all match (see the
+    /// [module docs](self) for why). Only the host-side cache counters
+    /// differ: this path reads and writes superblocks, never the decode
+    /// cache. The caller owns everything a per-step loop would do
+    /// *between* retires; this must only be entered when nothing can
+    /// happen between them (no chaos plan armed, no stop-sequence watch,
+    /// no pending signal — the kernel's `run_slice` enforces exactly
+    /// that).
     pub fn run_block(&mut self, cycle_limit: u64) -> (u64, Trap) {
         if self.cpu.regs.flag(flags::TF) {
             // Armed single-step window: the slow path owns trap-flag
@@ -456,7 +456,6 @@ impl Machine {
             return (0, self.step());
         }
         let mut retired: u64 = 0;
-        let dc_on = self.config.decode_cache;
         let insn_cost = self.config.costs.insn;
         // Intra-call memos. Both are *derived* state over facts re-checked
         // every chain entry (frame version) or invariant within the call
@@ -475,18 +474,12 @@ impl Machine {
         // may touch other pages (e.g. a page-crossing instruction).
         //
         // `memo`: the last block executed, keyed by (pfn, off, version),
-        // short-circuiting the BTreeMap probe for tight loops. `dc_warm`
-        // counts the leading ops known present in the decode cache at
-        // `version`: the cache only loses entries on a write-generation
-        // bump (which misses the memo and rebuilds), so a warm op's
-        // lookup is a guaranteed hit and `DecodeCacheStats::hits += 1`
-        // replays it exactly (debug builds still probe and assert).
+        // short-circuiting the BTreeMap probe for tight loops.
         let mut hot_page: Option<(u32, u32)> = None;
         struct BlockMemo {
             pfn: u32,
             off: u32,
             version: u64,
-            dc_warm: u32,
             block: Arc<Block>,
         }
         let mut memo: Option<BlockMemo> = None;
@@ -561,15 +554,12 @@ impl Machine {
                     pfn,
                     off,
                     version,
-                    dc_warm: 0,
                     block,
                 });
             }
-            let BlockMemo { dc_warm, block, .. } = memo.as_mut().expect("memo set above");
-            let block: &Block = block;
+            let block: &Block = &memo.as_ref().expect("memo set above").block;
             let ops: &[CachedDecode] = &block.ops;
             let mut eip_i = eip;
-            let mut off_i = off;
             // Set once an executed op may have stored. The version was
             // read at chain entry, store-free ops cannot move it, and the
             // re-check below is exact when it runs — so gating it on
@@ -591,32 +581,31 @@ impl Machine {
                         break;
                     }
                 }
-                // Batched lane: a decode-cache-warm run of lane-eligible
-                // ops (everything but dynamic control transfers, `int`,
-                // `hlt` and `#UD` bytes — see [`classify`]). Each lane
-                // op's fetch/decode side is exactly {charge `insn_cost`,
-                // I-TLB replay hit, decode-cache replay hit}, so those
-                // counters are flushed as batched adds at every lane
-                // exit; the execute side runs for real (data-TLB walks
-                // charge and trace through the canonical counters
-                // in-place). The step loop's per-op budget check and the
-                // dirty-gated coherence re-check run per op, same as the
-                // general path. `regs.eip` is left stale between ops —
+                // Batched lane: a run of lane-eligible ops (everything but
+                // dynamic control transfers, `int`, `hlt` and `#UD` bytes
+                // — see [`classify`]) past the block entry's real fetch
+                // translate. Each lane op's fetch side is exactly {charge
+                // `insn_cost`, one I-TLB replay hit}, so those counters
+                // are flushed as batched adds at every lane exit; the
+                // execute side runs for real (data-TLB walks charge and
+                // trace through the canonical counters in-place). The
+                // step loop's per-op budget check and the dirty-gated
+                // coherence re-check run per op, same as the general
+                // path. `regs.eip` is left stale between ops —
                 // nothing a lane op executes reads it, and no
                 // machine-layer trace event records it — except for
                 // branches, which get the fall-through pre-set so a taken
                 // transfer is detected by divergence; every other lane
                 // exit re-syncs it before control leaves the lane.
-                if dc_on && (i > 0 || entry_hot) {
+                if i > 0 || entry_hot {
                     let i0 = i;
-                    let end = (*dc_warm as usize).min(i0 + block.runs[i0] as usize);
+                    let end = i0 + block.runs[i0] as usize;
                     // Counter flush at lane exits: ops `i0..f` fetched
                     // (charged + replay hits), ops `i0..d` also retired.
                     macro_rules! flush {
                         ($f:expr, $d:expr) => {{
                             let (f, d) = (($f - i0) as u64, ($d - i0) as u64);
                             self.itlb.stats.hits += f;
-                            self.decode_cache.stats.hits += f;
                             self.stats.instructions += d;
                             retired += d;
                         }};
@@ -668,7 +657,6 @@ impl Machine {
                                     unreachable!("no-fault op cannot be Invalid");
                                 };
                                 eip_i = eip_i.wrapping_add(op.len as u32);
-                                off_i += op.len as u32;
                                 if block.flags[j] & F_BRANCH != 0 {
                                     // Branches evaluate inline: `JmpRel` and
                                     // `JccRel` read only `eflags` and write
@@ -715,7 +703,6 @@ impl Machine {
                                     self.superblocks.stats.hits += 1;
                                     entry_hot = true;
                                     eip_i = eip;
-                                    off_i = off;
                                     dirty = false;
                                     i = 0;
                                     continue 'ops;
@@ -760,7 +747,6 @@ impl Machine {
                                         self.superblocks.stats.hits += 1;
                                         entry_hot = true;
                                         eip_i = eip;
-                                        off_i = off;
                                         dirty = false;
                                         i = 0;
                                         continue 'ops;
@@ -769,7 +755,6 @@ impl Machine {
                                     break 'ops;
                                 }
                                 eip_i = fall;
-                                off_i += op.len as u32;
                             }
                             Ok(exec::Flow::Syscall { .. } | exec::Flow::Halt) => {
                                 unreachable!("int/hlt are never lane-eligible")
@@ -848,33 +833,6 @@ impl Machine {
                     // lookup's only effect.
                     self.itlb.stats.hits += 1;
                 }
-                if dc_on {
-                    if (i as u32) < *dc_warm {
-                        // Known cached at this version: the probe would
-                        // hit, and a hit's only effect is the counter.
-                        #[cfg(debug_assertions)]
-                        debug_assert_eq!(self.decode_cache.lookup(pfn, off_i, version), Some(*op));
-                        #[cfg(not(debug_assertions))]
-                        {
-                            self.decode_cache.stats.hits += 1;
-                        }
-                    } else {
-                        match self.decode_cache.lookup(pfn, off_i, version) {
-                            Some(cached) => debug_assert_eq!(cached, *op),
-                            None => {
-                                // Decode-cache miss: the byte-by-byte
-                                // decoder re-fetches all `len` bytes
-                                // through the I-TLB — same-page hits.
-                                self.itlb.stats.hits += op.len as u64;
-                                self.decode_cache.insert(pfn, off_i, version, *op);
-                            }
-                        }
-                        *dc_warm = i as u32 + 1;
-                    }
-                } else {
-                    // Uncached fetch: bytes 2..len are same-page hits.
-                    self.itlb.stats.hits += op.len as u64 - 1;
-                }
                 let next_eip = eip_i.wrapping_add(op.len as u32);
                 let insn = match op.decoded {
                     Decoded::Insn { insn, .. } => insn,
@@ -904,7 +862,6 @@ impl Machine {
                             break;
                         }
                         eip_i = next_eip;
-                        off_i += op.len as u32;
                         i += 1;
                     }
                     Ok(exec::Flow::Syscall { vector }) => {

@@ -122,6 +122,28 @@ fn bad_stop_seq_is_a_usage_error() {
     assert_typed_failure(&out, "--stop-seq needs a value");
 }
 
+/// An unknown argument is a usage error and nothing runs: the removed
+/// pipeline A/B flag, a typo, a stray word, and a typo after a flag's
+/// value (which is not itself checked as a flag).
+#[test]
+fn unknown_arguments_are_usage_errors() {
+    let dump = scratch("typo.smcdump");
+    let _ = std::fs::remove_file(&dump);
+    let path = dump.to_str().unwrap();
+    for args in [
+        &["--no-pipeline"][..],
+        &["--qiuck"],
+        &["--quick", "stray"],
+        &["--dump-demo", path, "--no-pipline"],
+    ] {
+        let out = run(args);
+        let bad = args.last().unwrap();
+        assert_typed_failure(&out, &format!("unrecognised argument {bad}"));
+        assert_eq!(out.status.code(), Some(2));
+    }
+    assert!(!dump.exists(), "a usage error must not write the dump");
+}
+
 #[test]
 fn stop_seq_without_replay_is_a_usage_error() {
     let out = run(&["--stop-seq", "5"]);

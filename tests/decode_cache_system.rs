@@ -1,12 +1,14 @@
-//! System-level decode-cache coherence: the per-frame write-generation
-//! protocol must interact correctly with split-memory semantics.
+//! System-level code-cache coherence: the per-frame write-generation
+//! protocol must interact correctly with split-memory semantics. Kernels
+//! run superblocks with per-step decodes in between, so every check
+//! covers both caches.
 //!
 //! Under split memory, a "self-modifying" store is redirected to the
-//! *data* frame while fetches (and thus cached decodes) read the *code*
-//! frame — so a data-frame attack run must complete with **zero**
-//! decode-cache invalidations. On an unprotected kernel the same store
-//! lands on the single backing frame, and the very next fetch of the
-//! patched site must observe a fresh decode (≥ 1 invalidation).
+//! *data* frame while fetches read the *code* frame — so a data-frame
+//! attack run must complete with **zero** invalidations and bailouts. On
+//! an unprotected kernel the same store lands on the single backing
+//! frame, and the very next fetch of the patched site must observe fresh
+//! bytes.
 
 use sm_attacks::harness::{classify_marker, kernel_with, AttackOutcome};
 use sm_attacks::wilander::{self, Case, InjectLocation, Technique, MARKER};
@@ -27,8 +29,8 @@ fn kernel(protection: &Protection) -> Kernel {
 
 /// A mixed-segment program that patches the immediate of its own
 /// `mov ebx, 9` to 7: the exit code tells us which bytes were *fetched*,
-/// the decode-cache counters tell us whether the patch reached the frame
-/// that decodes are cached against.
+/// the cache counters tell us whether the patch reached the frame that
+/// decodes and blocks are cached against.
 fn self_patcher() -> sm_kernel::image::ExecImage {
     ProgramBuilder::new("/bin/patch")
         .mixed_segment()
@@ -53,11 +55,27 @@ fn unprotected_self_patch_invalidates_and_executes_fresh_bytes() {
     // The store hit the one backing frame: the patched immediate must be
     // what executes...
     assert_eq!(k.sys.procs.get(&pid.0).and_then(|p| p.exit_code), Some(7));
-    // ...which is only possible if the stale cached decode was discarded.
-    let stats = k.sys.machine.decode_cache.stats;
+    // ...which is only possible if the stale pre-decoded block was
+    // abandoned or dropped.
+    let sb = k.sys.machine.superblocks.stats;
     assert!(
-        stats.invalidations >= 1,
-        "patched frame must invalidate its decodes: {stats:?}"
+        sb.invalidations + sb.bailouts >= 1,
+        "patched frame must invalidate its blocks: {sb:?}"
+    );
+}
+
+/// Neither cache ever saw its frame change under it, and between them
+/// they answered at least one lookup.
+fn assert_coherent_and_hitting(k: &Kernel) {
+    let (dc, sb) = (
+        k.sys.machine.decode_cache.stats,
+        k.sys.machine.superblocks.stats,
+    );
+    assert_eq!(dc.invalidations, 0, "{dc:?}");
+    assert_eq!(sb.invalidations + sb.bailouts, 0, "{sb:?}");
+    assert!(
+        dc.hits + sb.hits > 0,
+        "hot fetch path should hit: {dc:?} {sb:?}"
     );
 }
 
@@ -69,21 +87,17 @@ fn split_memory_self_patch_keeps_code_frame_decodes_valid() {
     // Split memory silently diverts the store to the data frame (paper
     // §7): the original immediate keeps executing...
     assert_eq!(k.sys.procs.get(&pid.0).and_then(|p| p.exit_code), Some(9));
-    // ...and no frame holding cached decodes is ever written, so the run
-    // completes without a single invalidation while still hitting.
-    let stats = k.sys.machine.decode_cache.stats;
-    assert_eq!(
-        stats.invalidations, 0,
-        "data-frame store must not touch code-frame decodes: {stats:?}"
-    );
-    assert!(stats.hits > 0, "hot fetch path should hit: {stats:?}");
+    // ...and no frame holding cached decodes or blocks is ever written,
+    // so the run completes without a single invalidation while still
+    // hitting.
+    assert_coherent_and_hitting(&k);
 }
 
 #[test]
 fn split_memory_code_injection_attack_never_invalidates_code_frames() {
     // A classic stack-smash that injects code via data writes: under split
-    // memory every attacker store lands on data frames, so the decode
-    // cache must ride through the whole attack without one invalidation.
+    // memory every attacker store lands on data frames, so both code
+    // caches must ride through the whole attack without one invalidation.
     let case = Case {
         technique: Technique::ReturnAddress,
         location: InjectLocation::Stack,
@@ -97,10 +111,5 @@ fn split_memory_code_injection_attack_never_invalidates_code_frames() {
         matches!(outcome, AttackOutcome::Foiled { .. }),
         "split memory must foil the attack: {outcome:?}"
     );
-    let stats = k.sys.machine.decode_cache.stats;
-    assert_eq!(
-        stats.invalidations, 0,
-        "attack writes are data-frame writes: {stats:?}"
-    );
-    assert!(stats.hits > 0, "{stats:?}");
+    assert_coherent_and_hitting(&k);
 }

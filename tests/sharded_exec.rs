@@ -146,12 +146,10 @@ proptest! {
 }
 
 /// Boot a bare split-memory kernel for the mid-window snapshot tests:
-/// deterministic stack, full trace, decode cache off (its warmth is the
-/// one state component snapshots do not carry, so it must be off for a
-/// restored kernel to continue byte-identically).
+/// deterministic stack, full trace. A restored kernel decodes cold, which
+/// must not show in anything it goes on to produce.
 fn boot_bare(plan: FaultPlan) -> Kernel {
-    let split = split_break();
-    let mut k = split.kernel_on(
+    split_break().kernel_on(
         TlbPreset::default(),
         KernelConfig {
             aslr_stack: false,
@@ -159,9 +157,7 @@ fn boot_bare(plan: FaultPlan) -> Kernel {
             trace: mask::ALL,
             ..KernelConfig::default()
         },
-    );
-    k.sys.machine.config.decode_cache = false;
-    k
+    )
 }
 
 /// Run `k` unchecked in `stride`-cycle slices until `armed` holds at a
