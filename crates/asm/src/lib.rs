@@ -45,6 +45,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod disasm;
 mod encoder;
 mod parser;

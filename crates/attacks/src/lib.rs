@@ -3,6 +3,8 @@
 //! real-world exploit scenario emulations (Table 2), and the attack
 //! harness that plays the external attacker.
 
+#![forbid(unsafe_code)]
+
 pub mod code_reuse;
 pub mod harness;
 pub mod real_world;

@@ -5,7 +5,8 @@
 //! and figures report *simulated* cycles (deterministic), while these
 //! report how fast the simulator itself runs, plus relative costs of the
 //! paper's mechanisms (split vs. unsplit page access, the Algorithm 1
-//! reload paths, page splitting, the verifier's SHA-256).
+//! reload paths, page splitting, the verifier's SHA-256) and of the
+//! checkpoint paths (kernel snapshot save and restore).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use sm_core::engine::{SplitMemConfig, SplitMemEngine};
@@ -14,10 +15,11 @@ use sm_core::sha256::sha256;
 use sm_kernel::engine::NullEngine;
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig};
+use sm_kernel::snapshot;
 use sm_kernel::userlib::ProgramBuilder;
 use sm_machine::cpu::{Access, Privilege};
 use sm_machine::pte::{self, PAGE_SIZE};
-use sm_machine::{Machine, MachineConfig};
+use sm_machine::{Machine, MachineConfig, TlbPreset};
 
 /// A machine with one flat user mapping and a spin loop at 0x1000.
 fn machine_with_loop() -> Machine {
@@ -211,6 +213,36 @@ fn bench_verify(c: &mut Criterion) {
     g.finish();
 }
 
+/// A split-memory kernel whose guest is mid-run: what checkpoints save and
+/// restore.
+fn live_split_kernel() -> Kernel {
+    let prog = ProgramBuilder::new("/bin/spin")
+        .code("_start:\n mov ecx, 1000000\n again:\n dec ecx\n jnz again\n mov ebx, 0\n call exit")
+        .build()
+        .unwrap();
+    let mut k = Protection::SplitMem(ResponseMode::Break)
+        .kernel_on(TlbPreset::default(), KernelConfig::default());
+    k.spawn(&prog.image).unwrap();
+    k.run(50_000);
+    k
+}
+
+fn bench_snapshot(c: &mut Criterion) {
+    let k = live_split_kernel();
+    let bytes = snapshot::save(&k);
+    let mut g = c.benchmark_group("snapshot_save");
+    g.throughput(Throughput::Bytes(bytes.len() as u64));
+    g.bench_function("split_live_guest", |b| b.iter(|| snapshot::save(&k)));
+    g.finish();
+    let engine = || Protection::SplitMem(ResponseMode::Break).engine();
+    let mut g = c.benchmark_group("snapshot_restore");
+    g.throughput(Throughput::Bytes(bytes.len() as u64));
+    g.bench_function("split_live_guest", |b| {
+        b.iter(|| snapshot::restore(&bytes, engine()).unwrap())
+    });
+    g.finish();
+}
+
 fn bench_kernel(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel");
     g.sample_size(20);
@@ -243,6 +275,7 @@ criterion_group!(
     bench_split,
     bench_attack,
     bench_verify,
+    bench_snapshot,
     bench_kernel
 );
 criterion_main!(benches);

@@ -1111,3 +1111,39 @@ pub fn replay_dump_to_seq(bytes: &[u8], stop_seq: u64) -> Result<TimeTravelRepor
         tail_jsonl: tail,
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The checked-in golden dump's kernel snapshot restores under the
+    /// dump's own protection and re-saves byte for byte. The round-trip
+    /// tests compare a build with itself; this pins the snapshot writer
+    /// (machine codec, kernel sections, container, digests) to an artifact
+    /// an older build wrote, so a codec change that alters the wire format
+    /// fails here.
+    #[test]
+    fn golden_dump_snapshot_resaves_byte_for_byte() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/chaos_demo.smcdump"
+        );
+        let bytes = std::fs::read(path).expect("golden dump is checked in");
+        let d = parse_dump(&bytes).expect("golden dump parses");
+        assert!(
+            matches!(d.protection, Protection::SplitMem(ResponseMode::Break)),
+            "golden dump protection: {:?}",
+            d.protection
+        );
+        assert_eq!(d.snapshot.len(), 35_604);
+        let k =
+            ksnap::restore(&d.snapshot, d.protection.engine()).expect("golden snapshot restores");
+        let resaved = ksnap::save(&k);
+        assert!(
+            resaved == d.snapshot,
+            "re-saved snapshot differs from the golden ({} vs {} bytes)",
+            resaved.len(),
+            d.snapshot.len()
+        );
+    }
+}

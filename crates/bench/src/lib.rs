@@ -17,6 +17,8 @@
 //!
 //! Run everything with `cargo run --release -p sm-bench --bin all_experiments`.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod chaos;
 pub mod cli;

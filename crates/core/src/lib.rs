@@ -50,6 +50,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod combined;
 pub mod engine;
 pub mod forensics;

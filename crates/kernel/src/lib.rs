@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod addrspace;
 pub mod engine;
 pub mod events;

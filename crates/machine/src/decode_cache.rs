@@ -122,22 +122,23 @@ impl FrameDecodes {
 
 /// Decoded-instruction cache over all physical frames; one lives in every
 /// [`Machine`](crate::Machine), serving [`Machine::step`](crate::Machine::step).
+#[derive(Default)]
 pub struct DecodeCache {
     /// Indexed by PFN; a frame gets a table lazily on its first cached
     /// decode (8 KiB of slots plus its decodes, per frame that ever
-    /// executes code).
+    /// executes code). Starts empty and grows to the highest frame that
+    /// has a table, so building, dropping and walking the cache costs the
+    /// frames that ran code, not the machine's frame count. A frame past
+    /// the end has no table: a lookup there is a miss.
     frames: Vec<Option<Box<FrameDecodes>>>,
     /// Effectiveness counters.
     pub stats: DecodeCacheStats,
 }
 
 impl DecodeCache {
-    /// Empty cache over `frames` physical frames.
-    pub fn new(frames: u32) -> DecodeCache {
-        DecodeCache {
-            frames: (0..frames).map(|_| None).collect(),
-            stats: DecodeCacheStats::default(),
-        }
+    /// Empty cache.
+    pub fn new() -> DecodeCache {
+        DecodeCache::default()
     }
 
     /// Cached decode at (`pfn`, `off`), if the frame's decodes were cached
@@ -146,7 +147,11 @@ impl DecodeCache {
     /// invalidation; both that and a plain absence count a miss.
     #[inline]
     pub fn lookup(&mut self, pfn: u32, off: u32, version: u64) -> Option<CachedDecode> {
-        let slot = match self.frames[pfn as usize].as_deref_mut() {
+        let slot = match self
+            .frames
+            .get_mut(pfn as usize)
+            .and_then(|fd| fd.as_deref_mut())
+        {
             Some(fd) => {
                 if fd.version != version {
                     fd.clear(version);
@@ -170,8 +175,11 @@ impl DecodeCache {
     /// the frame (page-crossing instructions are never cached).
     pub fn insert(&mut self, pfn: u32, off: u32, version: u64, c: CachedDecode) {
         debug_assert!(off + c.len.max(1) as u32 <= PAGE_SIZE);
-        let fd =
-            self.frames[pfn as usize].get_or_insert_with(|| Box::new(FrameDecodes::new(version)));
+        let i = pfn as usize;
+        if i >= self.frames.len() {
+            self.frames.resize_with(i + 1, || None);
+        }
+        let fd = self.frames[i].get_or_insert_with(|| Box::new(FrameDecodes::new(version)));
         if fd.version != version {
             // The frame was written between this entry's lookup-miss and
             // now (e.g. the byte-1 walk set A/D bits in a pagetable that
@@ -230,7 +238,7 @@ mod tests {
 
     #[test]
     fn miss_insert_hit() {
-        let mut c = DecodeCache::new(4);
+        let mut c = DecodeCache::new();
         assert_eq!(c.lookup(2, 100, 0), None);
         c.insert(2, 100, 0, nop(1));
         assert_eq!(c.lookup(2, 100, 0), Some(nop(1)));
@@ -241,7 +249,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_invalidates_whole_frame() {
-        let mut c = DecodeCache::new(4);
+        let mut c = DecodeCache::new();
         c.insert(1, 0, 7, nop(1));
         c.insert(1, 1, 7, nop(2));
         c.insert(1, 400, 7, nop(2));
@@ -262,7 +270,7 @@ mod tests {
 
     #[test]
     fn frames_are_independent() {
-        let mut c = DecodeCache::new(4);
+        let mut c = DecodeCache::new();
         c.insert(1, 5, 0, nop(1));
         c.insert(3, 5, 9, nop(3));
         assert!(c.lookup(1, 5, 0).is_some());
@@ -276,7 +284,7 @@ mod tests {
 
     #[test]
     fn iter_frames_visits_offsets_in_ascending_order() {
-        let mut c = DecodeCache::new(4);
+        let mut c = DecodeCache::new();
         for off in [900, 7, 4000, 0, 31] {
             c.insert(2, off, 3, nop(1));
         }
@@ -290,7 +298,7 @@ mod tests {
 
     #[test]
     fn reinsert_at_an_occupied_offset_replaces_in_place() {
-        let mut c = DecodeCache::new(4);
+        let mut c = DecodeCache::new();
         c.insert(1, 10, 0, nop(1));
         c.insert(1, 20, 0, nop(1));
         c.insert(1, 10, 0, nop(3));
@@ -303,7 +311,7 @@ mod tests {
     #[test]
     fn table_footprint_is_the_slot_index_plus_its_decodes() {
         use std::mem::{size_of, size_of_val};
-        let mut c = DecodeCache::new(2);
+        let mut c = DecodeCache::new();
         for off in [1, 2, 3, 5, 8, 13, 21, PAGE_SIZE - 1] {
             c.insert(1, off, 0, nop(1));
         }
@@ -320,8 +328,27 @@ mod tests {
     }
 
     #[test]
+    fn tables_grow_to_the_highest_frame_with_decodes() {
+        let mut c = DecodeCache::new();
+        assert!(c.frames.is_empty(), "nothing allocated up front");
+        // Past the end is a plain miss, and looking does not grow.
+        assert_eq!(c.lookup(16_383, 0, 0), None);
+        assert_eq!((c.stats.misses, c.stats.invalidations), (1, 0));
+        assert!(c.frames.is_empty());
+        c.insert(5, 8, 1, nop(1));
+        assert_eq!(c.frames.len(), 6);
+        c.insert(2, 8, 1, nop(1));
+        assert_eq!(c.frames.len(), 6, "a lower frame fits the prefix");
+        assert_eq!(c.lookup(9, 8, 1), None);
+        assert_eq!(c.lookup(5, 8, 1), Some(nop(1)));
+        let pfns: Vec<u32> = c.iter_frames().map(|(pfn, _, _)| pfn).collect();
+        assert_eq!(pfns, vec![2, 5]);
+        assert!(format!("{c:?}").contains("frames_cached: 2"));
+    }
+
+    #[test]
     fn insert_at_newer_version_restarts_table() {
-        let mut c = DecodeCache::new(2);
+        let mut c = DecodeCache::new();
         c.insert(1, 0, 0, nop(1));
         c.insert(1, 9, 2, nop(2));
         assert_eq!(c.lookup(1, 0, 2), None, "older entry dropped");

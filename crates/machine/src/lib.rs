@@ -40,6 +40,8 @@
 //! assert_eq!(trap, sm_machine::Trap::None);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod chaos;
 pub mod costs;
 pub mod cpu;

@@ -200,21 +200,26 @@ pub struct Machine {
 impl Machine {
     /// Build a machine with zeroed memory and empty TLBs.
     pub fn new(config: MachineConfig) -> Machine {
+        let capacity = if config.trace == 0 {
+            0
+        } else {
+            config.trace_capacity
+        };
+        Machine::with_tracer(config, Tracer::new(config.trace, capacity))
+    }
+
+    /// [`Machine::new`] around a given tracer. The snapshot codec passes
+    /// a disabled one, which allocates no ring, and installs the restored
+    /// tracer once its metadata has been read.
+    pub(crate) fn with_tracer(config: MachineConfig, tracer: Tracer) -> Machine {
         Machine {
             cpu: Cpu::default(),
             phys: PhysMemory::new(config.phys_frames),
             itlb: Tlb::with_geometry(config.tlb.itlb),
             dtlb: Tlb::with_geometry(config.tlb.dtlb),
-            decode_cache: DecodeCache::new(config.phys_frames),
-            superblocks: crate::superblock::SuperblockCache::new(config.phys_frames),
-            tracer: Tracer::new(
-                config.trace,
-                if config.trace == 0 {
-                    0
-                } else {
-                    config.trace_capacity
-                },
-            ),
+            decode_cache: DecodeCache::new(),
+            superblocks: crate::superblock::SuperblockCache::new(),
+            tracer,
             config,
             cycles: 0,
             stats: MachineStats::default(),

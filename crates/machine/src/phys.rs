@@ -265,6 +265,22 @@ impl std::error::Error for OutOfFrames {}
 ///
 /// Frame 0 is never handed out: a zero PFN in a pagetable entry is reserved
 /// so that a completely empty entry is unambiguously "nothing".
+///
+/// # Invariants
+///
+/// Every frame in `1..next_fresh` has been handed out and is now either
+/// live (nonzero refcount) or on the free list, never both; no other frame
+/// is either. [`alloc`](FrameAllocator::alloc),
+/// [`free`](FrameAllocator::free), [`retain`](FrameAllocator::retain) and
+/// [`release`](FrameAllocator::release) keep the following true, and the
+/// snapshot codec refuses to load a state that breaks any of them:
+///
+/// * each free-list frame is below `next_fresh`, listed once, and has
+///   refcount 0;
+/// * only frames in `1..next_fresh` have a nonzero refcount;
+/// * `allocated` is the number of nonzero refcounts;
+/// * `free.len() + allocated == next_fresh - 1`;
+/// * `peak >= allocated`.
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
     /// Frames returned by [`FrameAllocator::free`], reallocated LIFO. The

@@ -29,7 +29,7 @@
 use crate::chaos::{ChaosState, ChaosStats, FaultPlan};
 use crate::costs::CycleCosts;
 use crate::machine::{Machine, MachineConfig};
-use crate::phys::{PhysMemory, ZERO_PAGE};
+use crate::phys::{FrameAllocator, PhysMemory, ZERO_PAGE};
 use crate::pte::{Frame, PAGE_SIZE};
 use crate::stats::MachineStats;
 use crate::tlb::{Tlb, TlbEntry, TlbGeometry, TlbPreset, TlbStats};
@@ -215,6 +215,12 @@ impl Writer {
     /// length the reader already knows).
     pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+
+    /// Make room for at least `additional` more bytes, so a section whose
+    /// size is known up front grows the buffer once.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 }
 
@@ -550,44 +556,51 @@ fn read_tlb(r: &mut Reader, t: &mut Tlb) -> Result<(), SnapshotError> {
 /// frames with nonzero contents (raw 4 KiB payloads) — and the frame
 /// allocator, verbatim (free-list order included).
 fn write_phys(w: &mut Writer, p: &PhysMemory) {
-    let frames = p.frame_count();
-    let nonzero_vers: Vec<u32> = (0..frames)
-        .filter(|f| p.versions[*f as usize] != 0)
+    let written: Vec<(u32, u64)> = p
+        .versions
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| **v != 0)
+        .map(|(f, v)| (f as u32, *v))
         .collect();
-    w.u64(nonzero_vers.len() as u64);
-    for f in nonzero_vers {
+    // Write generation 0 means the frame was never written, so it is still
+    // all-zero: only written frames can have contents, which keeps `save`
+    // proportional to the touched frames. Each still gets the content
+    // check (a frame can be written back to zero), as a single memcmp.
+    let contents: Vec<u32> = written
+        .iter()
+        .map(|&(f, _)| f)
+        .filter(|&f| p.frame_bytes(Frame(f)) != ZERO_PAGE)
+        .collect();
+    let a = &p.allocator;
+    // Only frames in `1..next_fresh` can be live (see `FrameAllocator`).
+    let live: Vec<(u32, u32)> = a.refcounts[1..a.next_fresh as usize]
+        .iter()
+        .zip(1..)
+        .filter(|(rc, _)| **rc != 0)
+        .map(|(rc, f)| (f, *rc))
+        .collect();
+    // The page payloads dominate the section: grow the buffer for them once.
+    w.reserve((4 + PAGE_SIZE as usize) * contents.len());
+    w.u64(written.len() as u64);
+    for (f, v) in written {
         w.u32(f);
-        w.u64(p.versions[f as usize]);
+        w.u64(v);
     }
-    let nonzero_frames: Vec<u32> = (0..frames)
-        .filter(|f| {
-            // Write generation 0 means the frame was never written, so it
-            // is still all-zero — skipping it turns this scan from all of
-            // physical memory into just the touched frames, which is what
-            // makes `save` cheap enough to call per segment boundary.
-            // Touched frames still get the content check (a frame can be
-            // written back to zero), as a single memcmp.
-            p.versions[*f as usize] != 0 && p.frame_bytes(Frame(*f)) != ZERO_PAGE
-        })
-        .collect();
-    w.u64(nonzero_frames.len() as u64);
-    for f in nonzero_frames {
+    w.u64(contents.len() as u64);
+    for f in contents {
         w.u32(f);
         w.raw(p.frame_bytes(Frame(f)));
     }
-    let a = &p.allocator;
     w.u64(a.free.len() as u64);
     for f in &a.free {
         w.u32(f.0);
     }
     w.u32(a.next_fresh);
-    let nonzero_rc: Vec<u32> = (0..a.total)
-        .filter(|f| a.refcounts[*f as usize] != 0)
-        .collect();
-    w.u64(nonzero_rc.len() as u64);
-    for f in nonzero_rc {
+    w.u64(live.len() as u64);
+    for (f, rc) in live {
         w.u32(f);
-        w.u32(a.refcounts[f as usize]);
+        w.u32(rc);
     }
     w.u32(a.total);
     w.u32(a.allocated);
@@ -710,7 +723,6 @@ fn read_phys(r: &mut Reader, p: &mut PhysMemory) -> Result<(), SnapshotError> {
     }
     let a = &mut p.allocator;
     let nfree = r.count(a.total as usize)?;
-    a.free.clear();
     for _ in 0..nfree {
         let f = r.u32()?;
         if f == 0 || f >= a.total {
@@ -722,19 +734,21 @@ fn read_phys(r: &mut Reader, p: &mut PhysMemory) -> Result<(), SnapshotError> {
     if a.next_fresh == 0 || a.next_fresh > a.total {
         return Err(SnapshotError::Malformed("next_fresh out of range"));
     }
-    let nrc = r.count(a.total as usize)?;
-    a.refcounts.iter_mut().for_each(|rc| *rc = 0);
+    let live = r.count(a.total as usize)?;
     let mut prev = None;
-    for _ in 0..nrc {
+    for _ in 0..live {
         let f = r.u32()?;
         let rc = r.u32()?;
-        if f as usize >= a.refcounts.len() {
-            return Err(SnapshotError::Malformed("refcount frame out of range"));
+        if f == 0 || f >= a.next_fresh {
+            return Err(SnapshotError::Malformed(
+                "refcount on a frame never handed out",
+            ));
         }
         ascending(&mut prev, f)?;
         if rc == 0 {
             return Err(SnapshotError::Malformed("zero refcount entry"));
         }
+        // The allocator is fresh: every refcount not listed stays 0.
         a.refcounts[f as usize] = rc;
     }
     let total = r.u32()?;
@@ -749,12 +763,47 @@ fn read_phys(r: &mut Reader, p: &mut PhysMemory) -> Result<(), SnapshotError> {
     a.inject_next = r.opt_u64()?;
     a.inject_every = r.opt_u64()?;
     a.injected_failures = r.u64()?;
+    check_allocator(a, live)
+}
+
+/// Reject the allocator states [`FrameAllocator`] never reaches (its
+/// documented invariants), given that `live` frames, all in
+/// `1..next_fresh`, have a nonzero refcount. Such a state would load, and
+/// a few allocations later hand one frame to two owners.
+fn check_allocator(a: &FrameAllocator, live: usize) -> Result<(), SnapshotError> {
+    let mut listed = vec![false; a.next_fresh as usize];
+    for f in &a.free {
+        let Some(seen) = listed.get_mut(f.0 as usize) else {
+            return Err(SnapshotError::Malformed("free-list frame never handed out"));
+        };
+        if std::mem::replace(seen, true) {
+            return Err(SnapshotError::Malformed("free-list frame repeated"));
+        }
+        if a.refcounts[f.0 as usize] != 0 {
+            return Err(SnapshotError::Malformed("free-list frame has a refcount"));
+        }
+    }
+    if a.allocated as usize != live {
+        return Err(SnapshotError::Malformed(
+            "allocated count disagrees with refcounts",
+        ));
+    }
+    if a.free.len() + live != a.next_fresh as usize - 1 {
+        return Err(SnapshotError::Malformed(
+            "free and live frames do not add up to next_fresh - 1",
+        ));
+    }
+    if a.peak < a.allocated {
+        return Err(SnapshotError::Malformed("peak below allocated"));
+    }
     Ok(())
 }
 
 fn load_machine_from(r: &mut Reader) -> Result<Machine, SnapshotError> {
     let config = read_config(r)?;
-    let mut m = Machine::new(config);
+    // The saved tracer is installed at the end; until then a disabled one
+    // that allocates no ring.
+    let mut m = Machine::with_tracer(config, Tracer::disabled());
     m.cycles = r.u64()?;
     for g in m.cpu.regs.gpr.iter_mut() {
         *g = r.u32()?;
@@ -1039,8 +1088,23 @@ mod tests {
 
     /// A physical-memory section of a 64-frame machine in the layout
     /// `write_phys` uses, built from raw lists so it can break the
-    /// canonical form. Every content frame holds `0x5A` bytes.
+    /// canonical form. Every content frame holds `0x5A` bytes. The
+    /// allocator has handed out frames 1..=3 (`next_fresh` 4), none is
+    /// free, and `allocated` and `peak` are 3.
     fn phys_section(vers: &[(u32, u64)], contents: &[u32], rcs: &[(u32, u32)]) -> Vec<u8> {
+        phys_section_with(vers, contents, rcs, &[], 3, 3)
+    }
+
+    /// [`phys_section`] with the allocator's free list, `allocated` and
+    /// `peak` given.
+    fn phys_section_with(
+        vers: &[(u32, u64)],
+        contents: &[u32],
+        rcs: &[(u32, u32)],
+        free: &[u32],
+        allocated: u32,
+        peak: u32,
+    ) -> Vec<u8> {
         let mut w = Writer::new();
         w.u64(vers.len() as u64);
         for &(f, v) in vers {
@@ -1052,7 +1116,10 @@ mod tests {
             w.u32(f);
             w.raw(&[0x5A; PAGE_SIZE as usize]);
         }
-        w.u64(0); // free list
+        w.u64(free.len() as u64);
+        for &f in free {
+            w.u32(f);
+        }
         w.u32(4); // next_fresh
         w.u64(rcs.len() as u64);
         for &(f, rc) in rcs {
@@ -1060,8 +1127,8 @@ mod tests {
             w.u32(rc);
         }
         w.u32(64); // total
-        w.u32(3); // allocated
-        w.u32(3); // peak
+        w.u32(allocated);
+        w.u32(peak);
         w.u64(3); // alloc_calls
         w.opt_u64(None); // inject_next
         w.opt_u64(None); // inject_every
@@ -1110,6 +1177,41 @@ mod tests {
             (phys_section(&[(1, 2)], &[1, 1], &[]), unordered),
             (phys_section(&[], &[], &[(3, 1), (2, 1)]), unordered),
             (phys_section(&[], &[], &[(2, 1), (2, 1)]), unordered),
+            // Allocator states no sequence of alloc/free/retain/release
+            // reaches, each breaking one invariant only. Loaded, the first
+            // two hand one frame to two owners within a few allocations.
+            (
+                phys_section_with(&[], &[], &[(1, 1), (2, 1)], &[10], 2, 2),
+                "free-list frame never handed out",
+            ),
+            (
+                phys_section(&[], &[], &[(1, 1), (2, 1), (6, 1)]),
+                "refcount on a frame never handed out",
+            ),
+            (
+                phys_section(&[], &[], &[(0, 1), (1, 1), (2, 1)]),
+                "refcount on a frame never handed out",
+            ),
+            (
+                phys_section_with(&[], &[], &[(1, 1)], &[3, 3], 1, 1),
+                "free-list frame repeated",
+            ),
+            (
+                phys_section_with(&[], &[], &[(1, 1), (3, 1)], &[3], 2, 2),
+                "free-list frame has a refcount",
+            ),
+            (
+                phys_section(&[], &[], &[(1, 1), (2, 1)]),
+                "allocated count disagrees with refcounts",
+            ),
+            (
+                phys_section_with(&[], &[], &[(1, 1), (2, 1)], &[], 2, 2),
+                "free and live frames do not add up to next_fresh - 1",
+            ),
+            (
+                phys_section_with(&[], &[], &[(1, 1), (2, 1), (3, 2)], &[], 3, 2),
+                "peak below allocated",
+            ),
         ];
         for (i, (phys, why)) in cases.iter().enumerate() {
             assert_eq!(
@@ -1118,6 +1220,52 @@ mod tests {
                 "case {i}"
             );
         }
+    }
+
+    #[test]
+    fn allocator_invariants_hold_under_random_operations() {
+        // Every state `alloc`/`free`/`retain`/`release` reach (with
+        // injected OOMs mixed in) passes the loader's allocator checks and
+        // re-saves verbatim.
+        let mut m = Machine::new(MachineConfig {
+            phys_frames: 24,
+            ..MachineConfig::pentium3()
+        });
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut live: Vec<Frame> = Vec::new();
+        for step in 0..600 {
+            let a = &mut m.phys.allocator;
+            let pick = |rng: &mut StdRng, n: usize| rng.next_u64() as usize % n;
+            match rng.next_u64() % 8 {
+                0..=2 => {
+                    if let Ok(f) = a.alloc() {
+                        live.push(f);
+                    }
+                }
+                3 if !live.is_empty() => a.retain(live[pick(&mut rng, live.len())]),
+                4 | 5 if !live.is_empty() => {
+                    let i = pick(&mut rng, live.len());
+                    if a.release(live[i]) {
+                        live.swap_remove(i);
+                    }
+                }
+                6 if !live.is_empty() => {
+                    let i = pick(&mut rng, live.len());
+                    if a.refcount(live[i]) == 1 {
+                        a.free(live.swap_remove(i));
+                    }
+                }
+                7 if step % 50 == 7 => a.inject_oom(1 + rng.next_u64() % 4, Some(3)),
+                _ => {}
+            }
+            let bytes = save_machine(&m);
+            let r = load_machine(&bytes).unwrap_or_else(|e| panic!("step {step}: {e}"));
+            assert_eq!(save_machine(&r), bytes, "step {step}");
+        }
+        assert!(
+            m.phys.allocator.peak_allocated() > 12,
+            "the run filled memory"
+        );
     }
 
     #[test]

@@ -294,20 +294,20 @@ struct FrameBlocks {
 /// Superblock cache over all physical frames; one lives in every
 /// [`Machine`] (consulted only by [`Machine::run_block`], so machines
 /// driven purely through [`Machine::step`] never populate it).
+#[derive(Default)]
 pub struct SuperblockCache {
     /// Indexed by PFN; a frame gets a table lazily on its first block.
+    /// Starts empty and grows to the highest frame that has a table, like
+    /// the decode cache's; a frame past the end has no blocks.
     frames: Vec<Option<Box<FrameBlocks>>>,
     /// Effectiveness counters.
     pub stats: SuperblockStats,
 }
 
 impl SuperblockCache {
-    /// Empty cache over `frames` physical frames.
-    pub fn new(frames: u32) -> SuperblockCache {
-        SuperblockCache {
-            frames: (0..frames).map(|_| None).collect(),
-            stats: SuperblockStats::default(),
-        }
+    /// Empty cache.
+    pub fn new() -> SuperblockCache {
+        SuperblockCache::default()
     }
 
     /// Cached block entered at (`pfn`, `off`), if the frame's blocks were
@@ -315,7 +315,7 @@ impl SuperblockCache {
     /// generation drops the frame's blocks (lazy invalidation).
     #[inline]
     pub fn lookup(&mut self, pfn: u32, off: u32, version: u64) -> Option<Arc<Block>> {
-        let fb = self.frames[pfn as usize].as_deref_mut()?;
+        let fb = self.frames.get_mut(pfn as usize)?.as_deref_mut()?;
         if fb.version != version {
             fb.blocks.clear();
             fb.version = version;
@@ -339,7 +339,11 @@ impl SuperblockCache {
         ops: Vec<CachedDecode>,
     ) -> Arc<Block> {
         self.stats.builds += 1;
-        let fb = self.frames[pfn as usize].get_or_insert_with(|| {
+        let i = pfn as usize;
+        if i >= self.frames.len() {
+            self.frames.resize_with(i + 1, || None);
+        }
+        let fb = self.frames[i].get_or_insert_with(|| {
             Box::new(FrameBlocks {
                 version,
                 blocks: BTreeMap::new(),
@@ -913,7 +917,7 @@ mod tests {
 
     #[test]
     fn lookup_insert_hit_and_version_invalidation() {
-        let mut c = SuperblockCache::new(4);
+        let mut c = SuperblockCache::new();
         assert!(c.lookup(2, 16, 0).is_none());
         c.insert(2, 16, 0, vec![nop(1), nop(1)]);
         assert_eq!(c.lookup(2, 16, 0).unwrap().ops.len(), 2);
@@ -924,6 +928,25 @@ mod tests {
         assert_eq!(c.stats.invalidations, 1);
         assert!(c.lookup(2, 16, 1).is_none(), "already cleared");
         assert_eq!(c.stats.invalidations, 1, "no double count");
+    }
+
+    #[test]
+    fn tables_grow_to_the_highest_frame_with_blocks() {
+        let mut c = SuperblockCache::new();
+        assert!(c.frames.is_empty(), "nothing allocated up front");
+        // Past the end is a plain miss, and looking does not grow.
+        assert!(c.lookup(16_383, 0, 0).is_none());
+        assert_eq!(c.stats, SuperblockStats::default());
+        assert!(c.frames.is_empty());
+        c.insert(7, 0, 3, vec![nop(1)]);
+        assert_eq!(c.frames.len(), 8);
+        c.insert(1, 0, 3, vec![nop(1)]);
+        assert_eq!(c.frames.len(), 8, "a lower frame fits the prefix");
+        assert!(c.lookup(12, 0, 3).is_none());
+        assert!(c.lookup(7, 0, 3).is_some());
+        let pfns: Vec<u32> = c.iter_frames().map(|(pfn, _, _)| pfn).collect();
+        assert_eq!(pfns, vec![1, 7]);
+        assert!(format!("{c:?}").contains("frames_cached: 2"));
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! nothing about machines or kernels: events carry plain integers, and the
 //! embedding layers decide what to emit.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, VecDeque};
 
 /// Per-layer enable bits. A [`Tracer`] records an event only when the

@@ -12,6 +12,8 @@
 //! * [`tlbprobe`] — strided set-conflict stress probe (Fig. 7 TLB counter
 //!   diagnostics on set-associative geometries).
 
+#![forbid(unsafe_code)]
+
 pub mod gzip;
 pub mod httpd;
 pub mod nbench;
