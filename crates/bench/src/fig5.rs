@@ -140,18 +140,17 @@ pub fn run() -> Fig5 {
 /// tail of the ring — the Algorithm 1→3 sequence around the detection —
 /// after validating the whole stream against the ordering protocol.
 pub fn trace_demo() -> String {
-    use sm_machine::trace::{check_order, mask};
+    use sm_machine::trace::mask;
     let (report, k, _) = sm_attacks::real_world::run_wuftpd_traced_on(
         &Protection::SplitMem(ResponseMode::Break),
         sm_machine::TlbPreset::default(),
         mask::ALL,
     );
     let tracer = &k.sys.machine.tracer;
-    let records = tracer.snapshot();
     // The daemon is still serving when the demo stops driving it, so the
     // stream is validated as an incomplete run (armed windows may outlive
     // the captured prefix; a *violation* here would still surface).
-    let problems = check_order(&records, tracer.truncated(), false);
+    let problems = tracer.check_order(false);
     let mut out = String::new();
     out.push_str(&format!(
         "(a) break mode, flight-recorded: outcome {:?}, {} trace events ({} dropped), ordering {}\n",

@@ -684,12 +684,7 @@ impl Cell {
 
     /// Post-run trace stream-order check (PR 5 validator, per cell).
     fn check_trace(&mut self) {
-        let recs = self.k.sys.machine.tracer.snapshot();
-        if recs.is_empty() {
-            return;
-        }
-        let truncated = self.k.sys.machine.tracer.truncated();
-        for v in sm_trace::check_order(&recs, truncated, true) {
+        for v in self.k.sys.machine.tracer.check_order(true) {
             self.trace_violations.push(format!("cell {}: {v}", self.id));
         }
     }

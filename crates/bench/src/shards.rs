@@ -2,8 +2,9 @@
 //!
 //! A verified run pays two costs per slice: raw execution, and the
 //! between-slice invariant sweep ([`sm_core::invariants::check`] walks
-//! every PTE, TLB set and decode-cache frame; `check_trace` re-validates
-//! the whole ring ordering). The execution half is inherently serial, but
+//! every PTE, TLB set and decode-cache frame; `check_trace` reads the
+//! ordering verdict the tracer folds as it records). The execution half
+//! is inherently serial, but
 //! PR 6 landed everything needed to parallelize the *verification* half:
 //! versioned full-state snapshots and a resumable tracer with gap-free
 //! seq numbers. This module is the segment scheduler that exploits it:

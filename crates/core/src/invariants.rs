@@ -53,6 +53,7 @@
 
 use crate::combined::CombinedEngine;
 use crate::engine::SplitMemEngine;
+use crate::shadow::ShadowCombinedEngine;
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, RunExit};
 use sm_kernel::process::{Pid, ProcState};
@@ -269,8 +270,16 @@ fn split_engine(k: &Kernel) -> Option<&SplitMemEngine> {
     if let Some(c) = any.downcast_ref::<CombinedEngine>() {
         return Some(&c.split);
     }
+    if let Some(s) = any.downcast_ref::<ShadowCombinedEngine>() {
+        return Some(&s.inner.split);
+    }
     None
 }
+
+/// A pristine filler code frame under break mode (invariant #4).
+static ZERO_FILLER: [u8; pte::PAGE_SIZE as usize] = [0x00; pte::PAGE_SIZE as usize];
+/// A pristine filler code frame under the observe and forensics modes.
+static OPCODE_FILLER: [u8; pte::PAGE_SIZE as usize] = [SPLIT_FILL_OPCODE; pte::PAGE_SIZE as usize];
 
 /// Check every invariant against the kernel's current state. Call between
 /// [`Kernel::run`] slices — the state is only meant to be consistent at
@@ -403,10 +412,10 @@ pub fn check(k: &Kernel) -> Vec<Violation> {
     let Some(engine) = split else {
         return out;
     };
-    let fill = if engine.config.response == ResponseMode::Break {
-        0x00
+    let pristine = if engine.config.response == ResponseMode::Break {
+        &ZERO_FILLER
     } else {
-        SPLIT_FILL_OPCODE
+        &OPCODE_FILLER
     };
 
     // 8. No cross-process I-TLB leak. Attribute every I-TLB entry to the
@@ -526,17 +535,20 @@ pub fn check(k: &Kernel) -> Vec<Violation> {
             if k.sys.frames.refcount(code) == 0 {
                 out.push(Violation::CodeFrameUntracked { pid, vaddr: base });
             }
-            // 4. Pristine filler (borrowing the frame avoids a page-sized
-            // copy per filler page — this runs between every checked slice).
+            // 4. Pristine filler: every byte of the frame, on every call,
+            // as one comparison against a page of the fill byte; the first
+            // bad byte is looked for only on a mismatch.
             if sp.filler {
                 let buf = k.sys.machine.phys.frame_bytes(code);
-                if let Some((i, b)) = buf.iter().enumerate().find(|(_, b)| **b != fill) {
-                    out.push(Violation::FillerTampered {
-                        pid,
-                        vaddr: base,
-                        offset: i as u32,
-                        byte: *b,
-                    });
+                if buf != pristine {
+                    if let Some(i) = buf.iter().zip(pristine).position(|(b, p)| b != p) {
+                        out.push(Violation::FillerTampered {
+                            pid,
+                            vaddr: base,
+                            offset: i as u32,
+                            byte: buf[i],
+                        });
+                    }
                 }
             }
         }
@@ -548,17 +560,19 @@ pub fn check(k: &Kernel) -> Vec<Violation> {
 /// rules ([`sm_trace::check_order`]). Pass `complete = true` only when
 /// the run has finished (every process exited), so leftover open windows
 /// are flagged; between slices an armed single-step window is legal.
-/// No-op (returns empty) when tracing is disabled or nothing was emitted.
+/// Returns empty when tracing is disabled or nothing was emitted. The
+/// verdict comes from the fold the tracer keeps up as it records
+/// ([`sm_trace::Tracer::check_order`]), so until the ring wraps a call
+/// costs what the slice emitted, not what the ring holds.
 pub fn check_trace(k: &Kernel, complete: bool) -> Vec<Violation> {
     let tracer = &k.sys.machine.tracer;
-    if tracer.emitted() == 0 {
-        return Vec::new();
-    }
-    let records = tracer.snapshot();
-    sm_trace::check_order(&records, tracer.truncated(), complete)
-        .into_iter()
-        .map(Violation::TraceOrder)
-        .collect()
+    let found = tracer.check_order(complete);
+    debug_assert_eq!(
+        found,
+        sm_trace::check_order(&tracer.snapshot(), tracer.truncated(), complete),
+        "the tracer's streaming order check disagrees with the reference fold"
+    );
+    found.into_iter().map(Violation::TraceOrder).collect()
 }
 
 /// Run the kernel in `stride`-cycle slices up to `max_cycles`, checking
@@ -857,6 +871,73 @@ mod tests {
             )),
             "violations: {violations:?}"
         );
+    }
+
+    /// The stacked shadow+nx+split engine keeps its split half inside the
+    /// combined engine it wraps; the checker must see through both layers.
+    /// A mixed code+data segment is split under either combined engine, so
+    /// its page is checked as a split page (not reported as a `SPLIT` bit
+    /// with no table behind it), and an at-rest PTE left user-visible is
+    /// caught under both.
+    #[test]
+    fn stacked_engine_split_pages_are_checked() {
+        use crate::setup::Protection;
+        use sm_kernel::kernel::KernelConfig;
+        let prog = ProgramBuilder::new("/bin/jvm-like")
+            .mixed_segment()
+            .code(
+                "_start:
+                    mov eax, [counter]
+                    add eax, 41
+                    inc eax
+                    mov [counter], eax
+                    mov ebx, eax
+                    call exit
+                counter: .word 0",
+            )
+            .build()
+            .unwrap();
+        for protection in [
+            Protection::Combined(ResponseMode::Break),
+            Protection::ShadowCombined(ResponseMode::Break),
+        ] {
+            let mut k = protection.kernel(KernelConfig::default());
+            let pid = k.spawn(&prog.image).unwrap();
+            let base = {
+                let vma = k.sys.proc(pid).aspace.vmas.iter().find(|v| v.executable());
+                pte::page_base(vma.expect("code vma").start)
+            };
+            let entry = k.sys.pte_of(pid, base);
+            assert!(
+                pte::has(entry, pte::SPLIT),
+                "{}: the mixed page is split",
+                protection.label()
+            );
+            k.sys.set_pte(pid, base, entry | pte::USER);
+            let violations = check(&k);
+            assert!(
+                violations
+                    .iter()
+                    .any(|v| matches!(v, Violation::AtRestPte { vaddr, .. } if *vaddr == base)),
+                "{}: {violations:?}",
+                protection.label()
+            );
+            k.sys.set_pte(pid, base, entry);
+
+            let (exit, violations) = run_with_checks(&mut k, 10_000_000, 500);
+            assert_eq!(exit, RunExit::AllExited, "{}", protection.label());
+            assert!(
+                violations.is_empty(),
+                "{}: {violations:?}",
+                protection.label()
+            );
+            assert_eq!(
+                k.sys.proc(pid).exit_code,
+                Some(42),
+                "{}",
+                protection.label()
+            );
+        }
     }
 
     #[test]

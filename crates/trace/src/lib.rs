@@ -30,7 +30,8 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 
 /// Per-layer enable bits. A [`Tracer`] records an event only when the
 /// event's layer bit is set in its mask, so callers can trace (say) engine
@@ -507,6 +508,10 @@ impl TraceEvent {
     }
 }
 
+/// Bytes reserved per record when rendering JSON (a typical line is
+/// 90–150 bytes).
+const JSON_RECORD_HINT: usize = 128;
+
 /// A recorded event: global sequence number, simulated-cycle stamp, event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -524,13 +529,22 @@ impl TraceRecord {
     /// Render the record as one JSON object (fixed key order; the JSONL
     /// schema CI validates).
     pub fn to_json(&self) -> String {
-        let head = format!(
+        let mut out = String::with_capacity(JSON_RECORD_HINT);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append the record's JSON object (no newline) to `out`.
+    fn write_json(&self, out: &mut String) {
+        // Formatting into a `String` cannot fail, so the results are dropped.
+        let _ = write!(
+            out,
             "{{\"seq\":{},\"cycles\":{},\"kind\":\"{}\"",
             self.seq,
             self.cycles,
             self.event.kind()
         );
-        let body = match self.event {
+        let _ = match self.event {
             TraceEvent::TlbFill {
                 tlb,
                 vpn,
@@ -538,18 +552,20 @@ impl TraceRecord {
                 set,
                 way,
                 class,
-            } => format!(
+            } => write!(
+                out,
                 ",\"tlb\":\"{}\",\"vpn\":{vpn},\"pfn\":{pfn},\"set\":{set},\"way\":{way},\"class\":\"{}\"",
                 tlb.json(),
                 class.json()
             ),
-            TraceEvent::TlbEvict { tlb, vpn, set, cause } => format!(
+            TraceEvent::TlbEvict { tlb, vpn, set, cause } => write!(
+                out,
                 ",\"tlb\":\"{}\",\"vpn\":{vpn},\"set\":{set},\"cause\":\"{}\"",
                 tlb.json(),
                 cause.json()
             ),
             TraceEvent::TlbFlush { scope, vpn } => {
-                format!(",\"scope\":\"{}\",\"vpn\":{vpn}", scope.json())
+                write!(out, ",\"scope\":\"{}\",\"vpn\":{vpn}", scope.json())
             }
             TraceEvent::PageFault {
                 pid,
@@ -558,41 +574,41 @@ impl TraceRecord {
                 access,
                 present,
                 verdict,
-            } => format!(
+            } => write!(
+                out,
                 ",\"pid\":{pid},\"addr\":{addr},\"eip\":{eip},\"access\":\"{}\",\"present\":{present},\"verdict\":\"{}\"",
                 access.json(),
                 verdict.json()
             ),
-            TraceEvent::PageSplit { pid, vpn } | TraceEvent::PageUnsplit { pid, vpn } => {
-                format!(",\"pid\":{pid},\"vpn\":{vpn}")
-            }
+            TraceEvent::PageSplit { pid, vpn }
+            | TraceEvent::PageUnsplit { pid, vpn }
+            | TraceEvent::PteRestrict { pid, vpn }
+            | TraceEvent::StepArm { pid, vpn } => write!(out, ",\"pid\":{pid},\"vpn\":{vpn}"),
             TraceEvent::PteUnrestrict { pid, vpn, reload } => {
-                format!(",\"pid\":{pid},\"vpn\":{vpn},\"reload\":\"{}\"", reload.json())
+                write!(out, ",\"pid\":{pid},\"vpn\":{vpn},\"reload\":\"{}\"", reload.json())
             }
-            TraceEvent::PteRestrict { pid, vpn } => format!(",\"pid\":{pid},\"vpn\":{vpn}"),
-            TraceEvent::StepArm { pid, vpn } => format!(",\"pid\":{pid},\"vpn\":{vpn}"),
             TraceEvent::StepFire { pid, eip, vpn } => {
-                format!(",\"pid\":{pid},\"eip\":{eip},\"vpn\":{vpn}")
+                write!(out, ",\"pid\":{pid},\"eip\":{eip},\"vpn\":{vpn}")
             }
             TraceEvent::StepDisarm { pid, vpn, cause } => {
-                format!(",\"pid\":{pid},\"vpn\":{vpn},\"cause\":\"{}\"", cause.json())
+                write!(out, ",\"pid\":{pid},\"vpn\":{vpn},\"cause\":\"{}\"", cause.json())
             }
             TraceEvent::CowShare { parent, child } => {
-                format!(",\"parent\":{parent},\"child\":{child}")
+                write!(out, ",\"parent\":{parent},\"child\":{child}")
             }
             TraceEvent::CowBreak { pid, vpn, new_pfn } => {
-                format!(",\"pid\":{pid},\"vpn\":{vpn},\"new_pfn\":{new_pfn}")
+                write!(out, ",\"pid\":{pid},\"vpn\":{vpn},\"new_pfn\":{new_pfn}")
             }
-            TraceEvent::SchedSwitch { from, to } => format!(",\"from\":{from},\"to\":{to}"),
+            TraceEvent::SchedSwitch { from, to } => write!(out, ",\"from\":{from},\"to\":{to}"),
             TraceEvent::ChaosInject { pid, kind } => {
-                format!(",\"pid\":{pid},\"chaos\":\"{}\"", kind.json())
+                write!(out, ",\"pid\":{pid},\"chaos\":\"{}\"", kind.json())
             }
             TraceEvent::Detection { pid, eip, mode } => {
-                format!(",\"pid\":{pid},\"eip\":{eip},\"mode\":\"{}\"", mode.json())
+                write!(out, ",\"pid\":{pid},\"eip\":{eip},\"mode\":\"{}\"", mode.json())
             }
-            TraceEvent::ProcessExit { pid, code } => format!(",\"pid\":{pid},\"code\":{code}"),
+            TraceEvent::ProcessExit { pid, code } => write!(out, ",\"pid\":{pid},\"code\":{code}"),
         };
-        format!("{head}{body}}}")
+        out.push('}');
     }
 }
 
@@ -613,6 +629,10 @@ pub struct Tracer {
     // seqs (the property CI's jq check asserts).
     pid_filter: Option<u32>,
     buf: VecDeque<TraceRecord>,
+    // The ordering fold of every record pushed since the ring was last
+    // emptied, kept up as records arrive; `None` once the ring has dropped
+    // one of them (the verdict is then a fold of what the ring retains).
+    order: Option<OrderCheck>,
 }
 
 impl Default for Tracer {
@@ -633,6 +653,7 @@ impl Tracer {
             next_seq: 0,
             pid_filter: None,
             buf: VecDeque::new(),
+            order: Some(OrderCheck::new(false)),
         }
     }
 
@@ -645,6 +666,7 @@ impl Tracer {
             next_seq: 0,
             pid_filter: None,
             buf: VecDeque::with_capacity(capacity.min(4096)),
+            order: Some(OrderCheck::new(false)),
         }
     }
 
@@ -662,6 +684,7 @@ impl Tracer {
         let mut t = Tracer::new(mask, capacity);
         t.next_seq = next_seq;
         t.pid_filter = pid_filter;
+        t.order = Some(OrderCheck::new(next_seq > 0));
         t
     }
 
@@ -733,12 +756,17 @@ impl Tracer {
         }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
+            self.order = None;
         }
-        self.buf.push_back(TraceRecord {
+        let r = TraceRecord {
             seq: self.next_seq,
             cycles,
             event,
-        });
+        };
+        if let Some(order) = &mut self.order {
+            order.feed(&r);
+        }
+        self.buf.push_back(r);
         self.next_seq += 1;
     }
 
@@ -779,9 +807,9 @@ impl Tracer {
     /// Render every retained record as JSONL (one object per line,
     /// trailing newline when non-empty).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.buf.len() * JSON_RECORD_HINT);
         for r in &self.buf {
-            out.push_str(&r.to_json());
+            r.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -790,6 +818,21 @@ impl Tracer {
     /// Drop every retained record (the sequence counter keeps running).
     pub fn clear(&mut self) {
         self.buf.clear();
+        self.order = Some(OrderCheck::new(self.next_seq > 0));
+    }
+
+    /// [`check_order`] over the retained records:
+    /// `check_order(&self.snapshot(), self.truncated(), complete)`.
+    ///
+    /// Until the ring drops a record, the answer comes from the fold the
+    /// tracer keeps up as it records, so a query costs nothing per
+    /// retained record. Once the ring has wrapped, the retained records
+    /// are folded afresh on every query, as the reference does.
+    pub fn check_order(&self, complete: bool) -> Vec<String> {
+        match &self.order {
+            Some(order) => order.finish(complete),
+            None => check_order(&self.buf, self.truncated(), complete),
+        }
     }
 }
 
@@ -819,27 +862,67 @@ enum PageState {
 /// a dump that lost its head may legitimately begin mid-window, so
 /// unmatched closes are ignored — but double-arms, window crossings and
 /// stale opens are still reported.
-pub fn check_order(records: &[TraceRecord], truncated: bool, complete: bool) -> Vec<String> {
-    let mut violations = Vec::new();
-    let mut prev_cycles = 0u64;
-    let mut pages: HashMap<(u32, u32), PageState> = HashMap::new();
-    let mut armed: HashMap<u32, u32> = HashMap::new();
+///
+/// This is the reference fold; [`Tracer::check_order`] answers the same
+/// question for the tracer's own ring from a fold kept up as it records.
+pub fn check_order<'a>(
+    records: impl IntoIterator<Item = &'a TraceRecord>,
+    truncated: bool,
+    complete: bool,
+) -> Vec<String> {
+    let mut check = OrderCheck::new(truncated);
+    for r in records {
+        check.feed(r);
+    }
+    check.finish(complete)
+}
+
+/// The state of [`check_order`]'s fold after some prefix of a stream:
+/// [`feed`](OrderCheck::feed) it records in emission order and ask
+/// [`finish`](OrderCheck::finish) for the verdict at any point.
+#[derive(Debug, Clone, Default)]
+struct OrderCheck {
+    truncated: bool,
+    prev_cycles: u64,
+    pages: BTreeMap<(u32, u32), PageState>,
+    armed: BTreeMap<u32, u32>,
     // The at-most-one transiently open page (engine fault handlers are
     // synchronous, so two simultaneous opens are themselves a violation).
-    let mut open: Option<(u32, u32)> = None;
+    open: Option<(u32, u32)>,
+    violations: Vec<String>,
+}
 
-    for r in records {
-        if r.cycles < prev_cycles {
+impl OrderCheck {
+    /// An empty fold; `truncated` as for [`check_order`].
+    fn new(truncated: bool) -> OrderCheck {
+        OrderCheck {
+            truncated,
+            ..OrderCheck::default()
+        }
+    }
+
+    /// Fold the next record of the stream.
+    fn feed(&mut self, r: &TraceRecord) {
+        let OrderCheck {
+            truncated,
+            prev_cycles,
+            pages,
+            armed,
+            open,
+            violations,
+        } = self;
+        let truncated = *truncated;
+        if r.cycles < *prev_cycles {
             violations.push(format!(
                 "seq {}: cycle stamp went backwards ({} after {})",
                 r.seq, r.cycles, prev_cycles
             ));
         }
-        prev_cycles = r.cycles;
+        *prev_cycles = r.cycles;
 
         // Rule 2: while a page is transiently open, only the handler's own
         // TLB traffic or events resolving that same page may appear.
-        if let Some((opid, ovpn)) = open {
+        if let Some((opid, ovpn)) = *open {
             let same_page = match r.event {
                 TraceEvent::PteRestrict { pid, vpn }
                 | TraceEvent::StepArm { pid, vpn }
@@ -857,7 +940,7 @@ pub fn check_order(records: &[TraceRecord], truncated: bool, complete: bool) -> 
                     "seq {}: {:?} while page (pid {}, vpn {:#x}) was still unrestricted",
                     r.seq, r.event, opid, ovpn
                 ));
-                open = None; // report once, don't cascade
+                *open = None; // report once, don't cascade
             }
         }
 
@@ -869,7 +952,7 @@ pub fn check_order(records: &[TraceRecord], truncated: bool, complete: bool) -> 
                         r.seq, pid
                     ));
                 }
-                open = Some((pid, vpn));
+                *open = Some((pid, vpn));
             }
             TraceEvent::PteRestrict { pid, vpn } => {
                 // A restrict with no tracked open state is legal: degrade
@@ -877,8 +960,8 @@ pub fn check_order(records: &[TraceRecord], truncated: bool, complete: bool) -> 
                 // idempotently, and a truncated trace may have lost the
                 // matching unrestrict.
                 pages.remove(&(pid, vpn));
-                if open == Some((pid, vpn)) {
-                    open = None;
+                if *open == Some((pid, vpn)) {
+                    *open = None;
                 }
             }
             TraceEvent::StepArm { pid, vpn } => {
@@ -897,8 +980,8 @@ pub fn check_order(records: &[TraceRecord], truncated: bool, complete: bool) -> 
                     ));
                 }
                 pages.insert((pid, vpn), PageState::Armed);
-                if open == Some((pid, vpn)) {
-                    open = None;
+                if *open == Some((pid, vpn)) {
+                    *open = None;
                 }
             }
             TraceEvent::StepFire { pid, vpn, .. } => {
@@ -917,7 +1000,7 @@ pub fn check_order(records: &[TraceRecord], truncated: bool, complete: bool) -> 
                 // The fired page must now be re-restricted before anything
                 // else runs.
                 pages.insert((pid, vpn), PageState::Open);
-                open = Some((pid, vpn));
+                *open = Some((pid, vpn));
             }
             TraceEvent::StepDisarm { pid, vpn, cause } => {
                 if armed.remove(&pid).is_none() && !truncated {
@@ -930,7 +1013,7 @@ pub fn check_order(records: &[TraceRecord], truncated: bool, complete: bool) -> 
                     DisarmCause::Detection => {
                         // The engine restores the at-rest PTE next.
                         pages.insert((pid, vpn), PageState::Open);
-                        open = Some((pid, vpn));
+                        *open = Some((pid, vpn));
                     }
                     DisarmCause::Exit => {
                         // Teardown frees the address space; nothing to close.
@@ -940,8 +1023,8 @@ pub fn check_order(records: &[TraceRecord], truncated: bool, complete: bool) -> 
             }
             TraceEvent::PageUnsplit { pid, vpn } => {
                 pages.remove(&(pid, vpn));
-                if open == Some((pid, vpn)) {
-                    open = None;
+                if *open == Some((pid, vpn)) {
+                    *open = None;
                 }
             }
             TraceEvent::ProcessExit { pid, .. } => {
@@ -953,24 +1036,33 @@ pub fn check_order(records: &[TraceRecord], truncated: bool, complete: bool) -> 
                 }
                 pages.retain(|(p, _), _| *p != pid);
                 if open.map(|(p, _)| p) == Some(pid) {
-                    open = None;
+                    *open = None;
                 }
             }
             _ => {}
         }
     }
 
-    if complete {
-        let mut leftovers: Vec<String> = pages
-            .iter()
-            .map(|((pid, vpn), st)| {
-                format!("end of trace: pid {pid} vpn {vpn:#x} left {st:?} (never re-restricted)")
-            })
-            .collect();
-        leftovers.sort();
-        violations.extend(leftovers);
+    /// The violations found so far, followed — with `complete` — by every
+    /// page still open or armed. The fold itself is untouched, so feeding
+    /// can go on.
+    fn finish(&self, complete: bool) -> Vec<String> {
+        let mut out = self.violations.clone();
+        if complete {
+            let mut leftovers: Vec<String> = self
+                .pages
+                .iter()
+                .map(|((pid, vpn), st)| {
+                    format!(
+                        "end of trace: pid {pid} vpn {vpn:#x} left {st:?} (never re-restricted)"
+                    )
+                })
+                .collect();
+            leftovers.sort();
+            out.extend(leftovers);
+        }
+        out
     }
-    violations
 }
 
 /// Why [`splice`] refused to join two segment streams.
@@ -1136,42 +1228,295 @@ mod tests {
         assert_eq!(t.tail(100).len(), 6);
     }
 
+    /// The exact JSONL line of one record of every event kind, with every
+    /// `json()` spelling of every field enum somewhere in the set and the
+    /// integer fields at their extremes: the export format is a schema
+    /// offline tooling parses, so any byte that moves must move on purpose.
     #[test]
     fn jsonl_is_one_valid_object_per_line() {
-        let mut t = Tracer::new(mask::ALL, 8);
-        t.record(
-            7,
-            TraceEvent::TlbFill {
-                tlb: TlbSide::Instruction,
-                vpn: 0x10,
-                pfn: 3,
-                set: 0,
-                way: 0,
-                class: MissClass::Cold,
-            },
-        );
-        t.record(
-            9,
-            TraceEvent::PageFault {
-                pid: 1,
-                addr: 0x1000,
-                eip: 0x1000,
-                access: AccessKind::Fetch,
-                present: true,
-                verdict: FaultVerdict::Instruction,
-            },
-        );
-        let out = t.to_jsonl();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"seq\":0,\"cycles\":7,\"kind\":\"tlb_fill\",\"tlb\":\"i\",\"vpn\":16,\"pfn\":3,\"set\":0,\"way\":0,\"class\":\"cold\"}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"seq\":1,\"cycles\":9,\"kind\":\"page_fault\",\"pid\":1,\"addr\":4096,\"eip\":4096,\"access\":\"fetch\",\"present\":true,\"verdict\":\"instruction\"}"
-        );
+        use TraceEvent as E;
+        let cases: Vec<(TraceEvent, &str)> = vec![
+            (
+                E::TlbFill {
+                    tlb: TlbSide::Instruction,
+                    vpn: 0x10,
+                    pfn: 3,
+                    set: 1,
+                    way: 2,
+                    class: MissClass::Cold,
+                },
+                r#""kind":"tlb_fill","tlb":"i","vpn":16,"pfn":3,"set":1,"way":2,"class":"cold"}"#,
+            ),
+            (
+                E::TlbFill {
+                    tlb: TlbSide::Data,
+                    vpn: u32::MAX,
+                    pfn: 0,
+                    set: 63,
+                    way: 3,
+                    class: MissClass::Conflict,
+                },
+                r#""kind":"tlb_fill","tlb":"d","vpn":4294967295,"pfn":0,"set":63,"way":3,"class":"conflict"}"#,
+            ),
+            (
+                E::TlbFill {
+                    tlb: TlbSide::Data,
+                    vpn: 7,
+                    pfn: 8,
+                    set: 0,
+                    way: 0,
+                    class: MissClass::Capacity,
+                },
+                r#""kind":"tlb_fill","tlb":"d","vpn":7,"pfn":8,"set":0,"way":0,"class":"capacity"}"#,
+            ),
+            (
+                E::TlbEvict {
+                    tlb: TlbSide::Instruction,
+                    vpn: 9,
+                    set: 1,
+                    cause: EvictCause::Capacity,
+                },
+                r#""kind":"tlb_evict","tlb":"i","vpn":9,"set":1,"cause":"capacity"}"#,
+            ),
+            (
+                E::TlbEvict {
+                    tlb: TlbSide::Data,
+                    vpn: 10,
+                    set: 2,
+                    cause: EvictCause::Chaos,
+                },
+                r#""kind":"tlb_evict","tlb":"d","vpn":10,"set":2,"cause":"chaos"}"#,
+            ),
+            (
+                E::TlbEvict {
+                    tlb: TlbSide::Data,
+                    vpn: 11,
+                    set: 3,
+                    cause: EvictCause::Drop,
+                },
+                r#""kind":"tlb_evict","tlb":"d","vpn":11,"set":3,"cause":"drop"}"#,
+            ),
+            (
+                E::TlbFlush {
+                    scope: FlushScope::All,
+                    vpn: 0,
+                },
+                r#""kind":"tlb_flush","scope":"all","vpn":0}"#,
+            ),
+            (
+                E::TlbFlush {
+                    scope: FlushScope::Page,
+                    vpn: 0x8048,
+                },
+                r#""kind":"tlb_flush","scope":"page","vpn":32840}"#,
+            ),
+            (
+                E::PageFault {
+                    pid: 1,
+                    addr: 0x1000,
+                    eip: 0x1000,
+                    access: AccessKind::Fetch,
+                    present: true,
+                    verdict: FaultVerdict::Instruction,
+                },
+                r#""kind":"page_fault","pid":1,"addr":4096,"eip":4096,"access":"fetch","present":true,"verdict":"instruction"}"#,
+            ),
+            (
+                E::PageFault {
+                    pid: 2,
+                    addr: 0xbfff_fffc,
+                    eip: 0x0804_8000,
+                    access: AccessKind::Read,
+                    present: false,
+                    verdict: FaultVerdict::Data,
+                },
+                r#""kind":"page_fault","pid":2,"addr":3221225468,"eip":134512640,"access":"read","present":false,"verdict":"data"}"#,
+            ),
+            (
+                E::PageFault {
+                    pid: 3,
+                    addr: 0,
+                    eip: u32::MAX,
+                    access: AccessKind::Write,
+                    present: false,
+                    verdict: FaultVerdict::Other,
+                },
+                r#""kind":"page_fault","pid":3,"addr":0,"eip":4294967295,"access":"write","present":false,"verdict":"other"}"#,
+            ),
+            (
+                E::PageSplit {
+                    pid: 1,
+                    vpn: 0x8048,
+                },
+                r#""kind":"page_split","pid":1,"vpn":32840}"#,
+            ),
+            (
+                E::PageUnsplit {
+                    pid: 1,
+                    vpn: 0x8049,
+                },
+                r#""kind":"page_unsplit","pid":1,"vpn":32841}"#,
+            ),
+            (
+                E::PteUnrestrict {
+                    pid: 4,
+                    vpn: 5,
+                    reload: ReloadKind::Code,
+                },
+                r#""kind":"pte_unrestrict","pid":4,"vpn":5,"reload":"code"}"#,
+            ),
+            (
+                E::PteUnrestrict {
+                    pid: 4,
+                    vpn: 6,
+                    reload: ReloadKind::Data,
+                },
+                r#""kind":"pte_unrestrict","pid":4,"vpn":6,"reload":"data"}"#,
+            ),
+            (
+                E::PteRestrict { pid: 4, vpn: 5 },
+                r#""kind":"pte_restrict","pid":4,"vpn":5}"#,
+            ),
+            (
+                E::StepArm { pid: 4, vpn: 5 },
+                r#""kind":"step_arm","pid":4,"vpn":5}"#,
+            ),
+            (
+                E::StepFire {
+                    pid: 4,
+                    eip: 0x4004,
+                    vpn: 5,
+                },
+                r#""kind":"step_fire","pid":4,"eip":16388,"vpn":5}"#,
+            ),
+            (
+                E::StepDisarm {
+                    pid: 4,
+                    vpn: 5,
+                    cause: DisarmCause::Detection,
+                },
+                r#""kind":"step_disarm","pid":4,"vpn":5,"cause":"detection"}"#,
+            ),
+            (
+                E::StepDisarm {
+                    pid: 4,
+                    vpn: 6,
+                    cause: DisarmCause::Exit,
+                },
+                r#""kind":"step_disarm","pid":4,"vpn":6,"cause":"exit"}"#,
+            ),
+            (
+                E::CowShare {
+                    parent: 1,
+                    child: 2,
+                },
+                r#""kind":"cow_share","parent":1,"child":2}"#,
+            ),
+            (
+                E::CowBreak {
+                    pid: 2,
+                    vpn: 0x8049,
+                    new_pfn: 77,
+                },
+                r#""kind":"cow_break","pid":2,"vpn":32841,"new_pfn":77}"#,
+            ),
+            (
+                E::SchedSwitch {
+                    from: u32::MAX,
+                    to: 1,
+                },
+                r#""kind":"sched_switch","from":4294967295,"to":1}"#,
+            ),
+            (
+                E::ChaosInject {
+                    pid: 1,
+                    kind: ChaosKind::Flush,
+                },
+                r#""kind":"chaos_inject","pid":1,"chaos":"flush"}"#,
+            ),
+            (
+                E::ChaosInject {
+                    pid: 1,
+                    kind: ChaosKind::Evict,
+                },
+                r#""kind":"chaos_inject","pid":1,"chaos":"evict"}"#,
+            ),
+            (
+                E::ChaosInject {
+                    pid: 1,
+                    kind: ChaosKind::Preempt,
+                },
+                r#""kind":"chaos_inject","pid":1,"chaos":"preempt"}"#,
+            ),
+            (
+                E::ChaosInject {
+                    pid: 1,
+                    kind: ChaosKind::Signal,
+                },
+                r#""kind":"chaos_inject","pid":1,"chaos":"signal"}"#,
+            ),
+            (
+                E::Detection {
+                    pid: 2,
+                    eip: 0xbfff_f000,
+                    mode: ResponseKind::Break,
+                },
+                r#""kind":"detection","pid":2,"eip":3221221376,"mode":"break"}"#,
+            ),
+            (
+                E::Detection {
+                    pid: 2,
+                    eip: 1,
+                    mode: ResponseKind::Observe,
+                },
+                r#""kind":"detection","pid":2,"eip":1,"mode":"observe"}"#,
+            ),
+            (
+                E::Detection {
+                    pid: 2,
+                    eip: 2,
+                    mode: ResponseKind::Forensics,
+                },
+                r#""kind":"detection","pid":2,"eip":2,"mode":"forensics"}"#,
+            ),
+            (
+                E::ProcessExit { pid: 2, code: 139 },
+                r#""kind":"process_exit","pid":2,"code":139}"#,
+            ),
+            (
+                E::ProcessExit {
+                    pid: 3,
+                    code: i32::MIN,
+                },
+                r#""kind":"process_exit","pid":3,"code":-2147483648}"#,
+            ),
+        ];
+        let kinds: std::collections::BTreeSet<&str> = cases.iter().map(|(e, _)| e.kind()).collect();
+        assert_eq!(kinds.len(), 17, "one record of every kind: {kinds:?}");
+
+        // Through the ring (seq from 0, cycles as recorded) ...
+        let mut t = Tracer::new(mask::ALL, cases.len());
+        for (i, (e, _)) in cases.iter().enumerate() {
+            t.record(1000 * i as u64, *e);
+        }
+        let mut want = String::new();
+        for (i, (_, body)) in cases.iter().enumerate() {
+            want.push_str(&format!("{{\"seq\":{i},\"cycles\":{},{body}\n", 1000 * i));
+        }
+        assert_eq!(t.to_jsonl(), want);
+        // ... and one record at a time, with stamps at the u64 extremes.
+        for (e, body) in &cases {
+            let r = TraceRecord {
+                seq: u64::MAX,
+                cycles: 0,
+                event: *e,
+            };
+            assert_eq!(
+                r.to_json(),
+                format!("{{\"seq\":18446744073709551615,\"cycles\":0,{body}")
+            );
+        }
+        assert_eq!(Tracer::new(mask::ALL, 4).to_jsonl(), "");
     }
 
     #[test]
