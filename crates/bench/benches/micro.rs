@@ -265,6 +265,52 @@ fn bench_kernel(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+    // The kernel's user-memory copies: 32 KiB into eight mapped pages, and
+    // a guest moving 32 KiB through a 4 KiB pipe (eight write/read pairs,
+    // each a copy from and a copy to user memory).
+    g.throughput(Throughput::Bytes(32 * 1024));
+    g.bench_function("copy_to_user_32k", |b| {
+        let mut m = machine_with_loop();
+        let data = vec![0xA5u8; 32 * 1024];
+        b.iter(|| m.copy_to_user(0x2000, &data));
+    });
+    g.bench_function("pipe_round_trip_32k", |b| {
+        let prog = ProgramBuilder::new("/bin/pipe32k")
+            .code(
+                "_start:
+                    mov eax, SYS_PIPE
+                    mov ebx, fds
+                    int 0x80
+                    mov dword [iter], 8
+                again:
+                    mov eax, SYS_WRITE
+                    mov ebx, [fds+4]
+                    mov ecx, buf
+                    mov edx, 4096
+                    int 0x80
+                    mov eax, SYS_READ
+                    mov ebx, [fds]
+                    mov ecx, buf
+                    mov edx, 4096
+                    int 0x80
+                    dec dword [iter]
+                    jnz again
+                    mov ebx, 0
+                    call exit",
+            )
+            .data("fds: .space 8\n iter: .word 0\n buf: .space 4096, 0x5A")
+            .build()
+            .unwrap();
+        b.iter_batched(
+            || {
+                let mut k = Kernel::with_engine(Box::new(NullEngine));
+                k.spawn(&prog.image).unwrap();
+                k
+            },
+            |mut k| k.run(10_000_000),
+            BatchSize::SmallInput,
+        );
+    });
     g.finish();
 }
 

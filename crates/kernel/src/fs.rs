@@ -146,9 +146,11 @@ impl Pipe {
     /// Non-blocking read; returns bytes read into `buf`.
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
         let n = buf.len().min(self.buf.len());
-        for b in buf.iter_mut().take(n) {
-            *b = self.buf.pop_front().unwrap();
-        }
+        let (front, back) = self.buf.as_slices();
+        let k = n.min(front.len());
+        buf[..k].copy_from_slice(&front[..k]);
+        buf[k..n].copy_from_slice(&back[..n - k]);
+        self.buf.drain(..n);
         n
     }
 }
@@ -242,6 +244,7 @@ impl PipeTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ramfs_crud() {
@@ -286,6 +289,68 @@ mod tests {
         let mut buf = [0u8; 8];
         assert_eq!(t.get_mut(id).read(&mut buf), 1);
         assert_eq!(buf[0], b'c');
+    }
+
+    #[test]
+    fn pipe_read_across_the_ring_wrap() {
+        let mut p = Pipe::new(0);
+        p.buf = VecDeque::with_capacity(16);
+        p.capacity = p.buf.capacity();
+        let cap = p.capacity;
+        // Fill the ring, drain all but three bytes, refill: the buffered
+        // bytes now run from the ring's end round to its start.
+        let first: Vec<u8> = (0..cap).map(|i| i as u8).collect();
+        assert_eq!(p.write(&first), cap);
+        let mut sink = vec![0u8; cap - 3];
+        assert_eq!(p.read(&mut sink), cap - 3);
+        assert_eq!(sink, first[..cap - 3]);
+        let second: Vec<u8> = (0..cap - 3).map(|i| 0x80 | i as u8).collect();
+        assert_eq!(p.write(&second), cap - 3);
+        assert_eq!(p.buf.as_slices().0.len(), 3, "the contents wrap");
+        // One read spans the wrap point; the next starts past it.
+        let mut buf = [0u8; 5];
+        assert_eq!(p.read(&mut buf), 5);
+        assert_eq!(buf[..3], first[cap - 3..]);
+        assert_eq!(buf[3..], second[..2]);
+        let mut rest = vec![0u8; cap];
+        assert_eq!(p.read(&mut rest), cap - 5);
+        assert_eq!(rest[..cap - 5], second[2..]);
+        assert!(p.is_empty());
+    }
+
+    proptest! {
+        #[test]
+        fn pipe_is_a_bounded_fifo(
+            cap in 1..48usize,
+            draws in proptest::collection::vec(any::<u64>(), 1..160),
+        ) {
+            let mut p = Pipe::new(cap);
+            let mut model: Vec<u8> = Vec::new();
+            let mut next = 0u8;
+            for draw in draws {
+                let n = (draw >> 1) as usize % (2 * cap + 1);
+                if draw & 1 == 0 {
+                    let data: Vec<u8> = (0..n)
+                        .map(|_| {
+                            next = next.wrapping_add(1);
+                            next
+                        })
+                        .collect();
+                    let took = p.write(&data);
+                    prop_assert_eq!(took, n.min(cap - model.len()));
+                    model.extend_from_slice(&data[..took]);
+                } else {
+                    let mut buf = vec![0xEE; n];
+                    let got = p.read(&mut buf);
+                    prop_assert_eq!(got, n.min(model.len()));
+                    prop_assert_eq!(&buf[..got], &model[..got]);
+                    prop_assert!(buf[got..].iter().all(|&b| b == 0xEE));
+                    model.drain(..got);
+                }
+                prop_assert_eq!(p.len(), model.len());
+                prop_assert_eq!(p.room(), cap - model.len());
+            }
+        }
     }
 
     #[test]

@@ -316,9 +316,9 @@ fn sys_read(k: &mut Kernel, pid: Pid, fd: u32, buf: u32, len: u32) -> Outcome {
                 }
                 return Outcome::Block(WaitReason::PipeReadable(id));
             }
-            let mut tmp = vec![0u8; len as usize];
-            let n = pipe.read(&mut tmp);
-            tmp.truncate(n);
+            // Sized by what is buffered, never by the guest's `len`.
+            let mut tmp = vec![0u8; (len as usize).min(pipe.len())];
+            pipe.read(&mut tmp);
             k.sys.wake_where(|r| *r == WaitReason::PipeWritable(id));
             tmp
         }

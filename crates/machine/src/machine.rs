@@ -149,6 +149,11 @@ impl Trap {
     }
 }
 
+/// Bytes from `vaddr` to the end of its page, capped at `left`.
+fn page_run(vaddr: u32, left: usize) -> usize {
+    ((PAGE_SIZE - pte::page_offset(vaddr)) as usize).min(left)
+}
+
 /// Which TLB an access kind goes through, in trace-event terms.
 fn side_of(access: Access) -> sm_trace::TlbSide {
     match access {
@@ -659,51 +664,99 @@ impl Machine {
         self.read_u8(vaddr, Privilege::Kernel)
     }
 
+    /// Kernel-privilege translation of a `n`-byte run (`n >= 1`) that lies
+    /// inside one page, with the same TLB effects as translating each of
+    /// its bytes in turn. The first byte is translated for real: it walks,
+    /// fills, faults and traces as any access does. Once it succeeds, the
+    /// D-TLB's repeat-hit memo (`Tlb::last`) holds the page, and kernel
+    /// privilege passes every rights check on a data access, so each later
+    /// byte would take [`Machine::translate`]'s repeat-hit path: exactly
+    /// `hits += 1`, no cycle, no trace event. Those `n - 1` hits are
+    /// replayed as one add; nothing between them could disturb the TLB,
+    /// since the copy itself only moves bytes in physical memory.
+    fn translate_run(
+        &mut self,
+        vaddr: u32,
+        n: usize,
+        access: Access,
+    ) -> Result<u32, PageFaultInfo> {
+        let p = self.translate(vaddr, access, Privilege::Kernel)?;
+        debug_assert!(self.dtlb.replay_peek(pte::vpn(vaddr)).is_some());
+        self.dtlb.stats.hits += n as u64 - 1;
+        Ok(p)
+    }
+
     /// Copy bytes from user space at kernel privilege, charging per-byte
-    /// copy cost.
+    /// copy cost. Moves one page run at a time, with one real D-TLB
+    /// translation per page (see `translate_run`). The output grows with
+    /// the bytes actually copied, so a huge `len` over unmapped memory
+    /// allocates nothing large.
     ///
     /// # Errors
     ///
     /// Page fault on the first unmapped byte (partially-read data is
     /// discarded).
     pub fn copy_from_user(&mut self, vaddr: u32, len: u32) -> Result<Vec<u8>, PageFaultInfo> {
-        let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            out.push(self.read_u8(vaddr.wrapping_add(i), Privilege::Kernel)?);
+        let mut out = Vec::new();
+        let mut done = 0;
+        while done < len as usize {
+            let addr = vaddr.wrapping_add(done as u32);
+            let n = page_run(addr, len as usize - done);
+            let p = self.translate_run(addr, n, Access::Read)?;
+            out.extend_from_slice(self.phys.frame_slice(p, n));
+            done += n;
         }
         self.charge(self.config.costs.copy_byte * len as u64);
         Ok(out)
     }
 
     /// Copy bytes into user space at kernel privilege, charging per-byte
-    /// copy cost.
+    /// copy cost. Moves one page run at a time, with one real D-TLB
+    /// translation per page (see `translate_run`), each stored with
+    /// [`PhysMemory::write_bytewise`] so frame generations advance per
+    /// byte.
     ///
     /// # Errors
     ///
     /// Page fault on the first unmapped byte (earlier bytes stay written,
     /// as with a faulting `copy_to_user`).
     pub fn copy_to_user(&mut self, vaddr: u32, data: &[u8]) -> Result<(), PageFaultInfo> {
-        for (i, b) in data.iter().enumerate() {
-            self.write_u8(vaddr.wrapping_add(i as u32), *b, Privilege::Kernel)?;
+        let mut done = 0;
+        while done < data.len() {
+            let addr = vaddr.wrapping_add(done as u32);
+            let n = page_run(addr, data.len() - done);
+            let p = self.translate_run(addr, n, Access::Write)?;
+            self.phys.write_bytewise(p, &data[done..done + n]);
+            done += n;
         }
         self.charge(self.config.costs.copy_byte * data.len() as u64);
         Ok(())
     }
 
     /// Read a NUL-terminated string from user space (kernel privilege),
-    /// capped at `max` bytes.
+    /// capped at `max` bytes. Scans one page run at a time; a run's
+    /// translation covers the bytes up to and including the NUL, the
+    /// last byte the string reads.
     ///
     /// # Errors
     ///
     /// Page fault if the string runs off mapped memory.
     pub fn read_cstr(&mut self, vaddr: u32, max: u32) -> Result<Vec<u8>, PageFaultInfo> {
         let mut out = Vec::new();
-        for i in 0..max {
-            let b = self.read_u8(vaddr.wrapping_add(i), Privilege::Kernel)?;
-            if b == 0 {
+        let mut done = 0;
+        while done < max as usize {
+            let addr = vaddr.wrapping_add(done as u32);
+            let n = page_run(addr, max as usize - done);
+            let p = self.translate(addr, Access::Read, Privilege::Kernel)?;
+            let run = self.phys.frame_slice(p, n);
+            let nul = run.iter().position(|&b| b == 0);
+            let read = nul.map_or(n, |i| i + 1);
+            self.dtlb.stats.hits += read as u64 - 1;
+            out.extend_from_slice(&run[..nul.unwrap_or(n)]);
+            if nul.is_some() {
                 break;
             }
-            out.push(b);
+            done += n;
         }
         self.charge(self.config.costs.copy_byte * out.len() as u64);
         Ok(out)

@@ -174,6 +174,28 @@ impl PhysMemory {
             .copy_from_slice(data);
     }
 
+    /// Copy `data`, which must fit inside one frame, into memory at
+    /// `paddr` as a run of single-byte stores: the frame's write
+    /// generation advances by `data.len()`, exactly as `data.len()`
+    /// [`PhysMemory::write_u8`] calls would advance it.
+    #[inline]
+    pub fn write_bytewise(&mut self, paddr: u32, data: &[u8]) {
+        if data.is_empty() {
+            return;
+        }
+        debug_assert!(paddr as usize % PAGE + data.len() <= PAGE);
+        self.versions[(paddr / PAGE_SIZE) as usize] += data.len() as u64;
+        self.backed_mut(paddr as usize, data.len())
+            .copy_from_slice(data);
+    }
+
+    /// Borrow `len` bytes at `paddr`, which must lie inside one frame.
+    #[inline]
+    pub fn frame_slice(&self, paddr: u32, len: usize) -> &[u8] {
+        let off = paddr as usize % PAGE;
+        &self.frame_bytes(Frame(paddr / PAGE_SIZE))[off..off + len]
+    }
+
     /// Copy `buf.len()` bytes out of memory starting at `paddr`.
     #[inline]
     pub fn read(&self, paddr: u32, buf: &mut [u8]) {
