@@ -184,31 +184,16 @@ fn main() {
     }
     println!();
 
-    println!("==== Sharded verification (fig6 workload) =======================\n");
-    let sharded = summary.section("fig6-sharded", || {
-        let split = Protection::SplitMem(ResponseMode::Break);
-        sm_bench::shards::fig6_sharded_probe(
-            &split,
-            TlbPreset::default(),
-            sm_bench::shards::FIG6_PROBE_REQUESTS,
-            sm_bench::shards::FIG6_PROBE_STRIDE,
-            8,
-        )
-    });
+    println!("==== Verified run (fig6 Apache workload) ========================\n");
+    let verified = summary.section("fig6-verified", sm_bench::fig6::verified_run);
     println!(
-        "serial {:.1} ms vs sharded {:.1} ms ({} segments, {} threads): {:.2}x, outputs {}",
-        sharded.serial_ms,
-        sharded.sharded_ms,
-        sharded.segments,
-        sharded.threads,
-        sharded.speedup,
-        if sharded.identical {
-            "byte-identical"
-        } else {
-            "DIVERGED"
-        }
+        "split(break), checked every {} cycles: exit {:?}, {} violations, {} trace records emitted, {} dropped",
+        sm_bench::fig6::VERIFIED_STRIDE,
+        verified.exit,
+        verified.violations,
+        verified.emitted,
+        verified.dropped
     );
-    summary.sharded = Some(sharded);
     println!();
 
     println!("==== Fleet simulation (multi-tenant) ============================\n");

@@ -24,11 +24,6 @@
 //! verdict reproduces and the trace tail splices byte-identically.
 //! Adding `--stop-seq <seq>` time-travels instead: the run stops as soon
 //! as the tracer reaches that sequence number and prints the tail.
-//!
-//! `--shards N` runs the sharded splice-equality sweep: every quick
-//! scenario executed serial-checked and segment-parallel (N segments),
-//! asserting byte-identical output; divergences dump per-segment trace
-//! tails (`shard_seg_<i>.trace.jsonl`) and exit non-zero.
 
 use sm_attacks::wilander::{self, InjectLocation, Technique};
 use sm_bench::chaos::{self, Scenario};
@@ -87,7 +82,7 @@ fn full_scenarios() -> Vec<Scenario> {
     scenarios
 }
 
-const USAGE: &str = "usage: chaos [--quick] [--trace] [--shards N]
+const USAGE: &str = "usage: chaos [--quick] [--trace]
        chaos --fleet
        chaos --replay <dump.smcdump> [--stop-seq <seq>]
        chaos --dump-demo <out.smcdump>";
@@ -259,7 +254,7 @@ fn main() {
         "chaos",
         USAGE,
         &["--quick", "--trace", "--fleet"],
-        &["--shards", "--replay", "--stop-seq", "--dump-demo"],
+        &["--replay", "--stop-seq", "--dump-demo"],
     );
     if let Some(i) = args.iter().position(|a| a == "--replay") {
         let path = match flag_value(&args, i, "--replay") {
@@ -293,17 +288,6 @@ fn main() {
     }
     if args.iter().any(|a| a == "--fleet") {
         std::process::exit(fleet_scenarios());
-    }
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        let n = match flag_value(&args, i, "--shards").map(str::parse::<usize>) {
-            Ok(Ok(n)) if n >= 1 => n,
-            Ok(Ok(_)) => std::process::exit(usage_error("--shards must be >= 1")),
-            Ok(Err(e)) => {
-                std::process::exit(usage_error(&format!("--shards is not a number: {e}")))
-            }
-            Err(e) => std::process::exit(usage_error(&format!("{e} (a segment count)"))),
-        };
-        std::process::exit(sharded_sweep(n));
     }
     let quick = args.iter().any(|a| a == "--quick");
     let trace = args.iter().any(|a| a == "--trace");
@@ -807,64 +791,6 @@ fn replay_to_seq(path: &str, stop_seq: u64) -> i32 {
             eprintln!("replay rejected: {e}");
             1
         }
-    }
-}
-
-/// `--shards N`: the splice-equality sweep CI pins under a
-/// `RAYON_NUM_THREADS` matrix. Every quick scenario runs serial-checked
-/// and sharded-checked; any divergence dumps per-segment trace tails as
-/// `shard_seg_<i>.trace.jsonl` and exits non-zero.
-fn sharded_sweep(shards_n: usize) -> i32 {
-    use sm_bench::shards::{self, ShardSpec};
-    let split = Protection::SplitMem(ResponseMode::Break);
-    let Some(plan) = chaos::plan_by_name("kitchen-sink", 1) else {
-        fatal("internal plan table is missing 'kitchen-sink'");
-    };
-    let mut scenarios = quick_scenarios();
-    scenarios.push(Scenario::MixedPatch);
-    println!(
-        "sharded splice-equality sweep: {} scenarios x {shards_n} shards ({} rayon threads)",
-        scenarios.len(),
-        rayon::current_num_threads()
-    );
-    let mut failures = 0usize;
-    for scenario in scenarios {
-        let mut spec =
-            ShardSpec::chaos(scenario, &split, TlbPreset::default(), plan, mask::ALL, 512);
-        // A finer stride than the sweep default so even short guests span
-        // several segments — the boundaries are what this sweep tests.
-        spec.stride = 2_000;
-        let serial = shards::run_serial(&spec);
-        let sharded = shards::run_sharded(&spec, shards_n);
-        let notes = shards::compare_runs(&serial, &sharded);
-        if notes.is_empty() {
-            println!(
-                "  ok   {:<44} {} segments -> {}",
-                scenario.name(),
-                sharded.segments,
-                sharded.verdict
-            );
-        } else {
-            failures += 1;
-            println!(
-                "  FAIL {:<44} {} segments [{}]",
-                scenario.name(),
-                sharded.segments,
-                notes.join("; ")
-            );
-            for (i, jsonl) in sharded.per_segment_jsonl.iter().enumerate() {
-                let path = format!("shard_seg_{i}.trace.jsonl");
-                write_artifact(&path, jsonl.as_bytes());
-                println!("       segment {i} trace tail -> {path}");
-            }
-        }
-    }
-    if failures > 0 {
-        println!("{failures} scenarios diverged");
-        1
-    } else {
-        println!("all scenarios byte-identical");
-        0
     }
 }
 

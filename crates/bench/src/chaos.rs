@@ -255,7 +255,7 @@ pub fn run_scenario_on(
 /// Build a scenario's guest image. Assembly is a pure function of the
 /// scenario (and independent of plan/seed/protection), so sweeps build each
 /// image once and share it across all of the scenario's combos.
-pub(crate) fn scenario_image(scenario: Scenario) -> (ExecImage, Option<u8>) {
+fn scenario_image(scenario: Scenario) -> (ExecImage, Option<u8>) {
     match scenario {
         Scenario::Wilander(case) => (
             wilander::build_case(case).expect("applicable case").image,
@@ -344,7 +344,7 @@ fn run_image_traced_on(
 /// attacker-got-execution flag. Shared by the plain, traced and
 /// checkpointed runners and by dump replay, so all four agree on what a
 /// verdict string looks like.
-pub(crate) fn classify_run(k: &Kernel, pid: Pid, marker: Option<u8>) -> (String, bool) {
+fn classify_run(k: &Kernel, pid: Pid, marker: Option<u8>) -> (String, bool) {
     match marker {
         Some(m) => {
             let outcome = classify_marker(k, pid, m);
@@ -758,6 +758,8 @@ fn protection_tags(p: &Protection) -> Result<(u8, u8), String> {
         Protection::SplitMem(m) => Ok((1, response_tag(m))),
         Protection::Nx => Ok((2, 0)),
         Protection::Combined(m) => Ok((3, response_tag(m))),
+        Protection::ShadowStack(m) => Ok((4, response_tag(m))),
+        Protection::ShadowCombined(m) => Ok((5, response_tag(m))),
         other => Err(format!("protection {other:?} has no dump encoding")),
     }
 }
@@ -774,6 +776,8 @@ fn protection_from_tags(kind: u8, mode: u8) -> Result<Protection, String> {
         1 => Ok(Protection::SplitMem(m)),
         2 => Ok(Protection::Nx),
         3 => Ok(Protection::Combined(m)),
+        4 => Ok(Protection::ShadowStack(m)),
+        5 => Ok(Protection::ShadowCombined(m)),
         _ => Err(format!("unknown protection tag {kind}")),
     }
 }

@@ -7,10 +7,14 @@
 //! nbench test (≈ 0.97) and the Unixbench index (≈ 0.82).
 
 use rayon::prelude::*;
+use sm_core::invariants;
 use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
+use sm_kernel::kernel::{KernelConfig, RunExit};
+use sm_machine::trace::mask;
 use sm_machine::TlbPreset;
 use sm_workloads::nbench::{run_nbench_on, NbenchKernel};
+use sm_workloads::runner::workload_kconfig;
 use sm_workloads::unixbench::{run_unixbench_on, UnixbenchTest};
 use sm_workloads::{geometric_mean, gzip, httpd, normalized};
 
@@ -170,6 +174,65 @@ pub fn run(params: Fig6Params) -> Vec<Bar> {
         }),
     ];
     jobs.par_iter().map(|job| job()).collect()
+}
+
+/// Apache requests in [`verified_run`], as in the Apache bar.
+const VERIFIED_REQUESTS: u32 = 40;
+
+/// Cycles per checked slice in [`verified_run`]: fine enough that the
+/// per-slice checks, not execution, set its host time.
+pub const VERIFIED_STRIDE: u64 = 2_000;
+
+/// Trace ring capacity in [`verified_run`]. The run emits about eight
+/// times as many records, so the ring wraps and most slices are checked
+/// against a ring that has dropped its head.
+const VERIFIED_RING: usize = 4096;
+
+/// What [`verified_run`] reports.
+#[derive(Debug, Clone)]
+pub struct VerifiedRun {
+    /// How the run ended.
+    pub exit: RunExit,
+    /// Invariant and trace-order violations at the last slice.
+    pub violations: usize,
+    /// Trace records emitted over the whole run.
+    pub emitted: u64,
+    /// Trace records the ring dropped.
+    pub dropped: u64,
+}
+
+/// The Apache bar's workload (server and client, 32 KB page, 40
+/// requests) under split(break), every trace layer on in a ring of 4 096
+/// records, run in [`VERIFIED_STRIDE`]-cycle slices with every invariant
+/// and the trace order checked after each
+/// ([`invariants::run_with_checks`]).
+///
+/// # Panics
+///
+/// Panics if the server or client image does not spawn on a fresh kernel.
+pub fn verified_run() -> VerifiedRun {
+    let split = Protection::SplitMem(ResponseMode::Break);
+    let mut k = split.kernel_on(
+        TlbPreset::default(),
+        KernelConfig {
+            trace: mask::ALL,
+            trace_capacity: VERIFIED_RING,
+            ..workload_kconfig()
+        },
+    );
+    let page_size = 32 * 1024;
+    k.spawn(&httpd::server_program(page_size, VERIFIED_REQUESTS).image)
+        .expect("server spawns");
+    k.spawn(&httpd::client_program(page_size, VERIFIED_REQUESTS).image)
+        .expect("client spawns");
+    let (exit, violations) = invariants::run_with_checks(&mut k, 20_000_000_000, VERIFIED_STRIDE);
+    let tracer = &k.sys.machine.tracer;
+    VerifiedRun {
+        exit,
+        violations: violations.len(),
+        emitted: tracer.emitted(),
+        dropped: tracer.dropped(),
+    }
 }
 
 /// Render the figure.

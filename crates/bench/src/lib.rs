@@ -33,7 +33,6 @@ pub mod interference;
 pub mod matrix;
 pub mod memory;
 pub mod report;
-pub mod shards;
 pub mod summary;
 pub mod table1;
 pub mod table2;

@@ -159,9 +159,6 @@ pub struct BenchSummary {
     pub interference: Option<InterferenceCounters>,
     /// Snapshot save/restore throughput (absent if the probe did not run).
     pub snapshot: Option<SnapshotProbe>,
-    /// Serial- vs sharded-verified fig6 timing (absent if the probe did
-    /// not run). The `fig6-sharded` row CI tracks.
-    pub sharded: Option<crate::shards::ShardedProbe>,
     /// Fleet-simulation headline rows (absent if the section did not
     /// run).
     pub fleet: Option<FleetProbe>,
@@ -260,14 +257,6 @@ impl BenchSummary {
                 p.restore_mb_per_sec
             ),
         };
-        let sharded = match &self.sharded {
-            None => String::new(),
-            Some(p) => format!(
-                ",\n  \"fig6_sharded\": {{\"serial_ms\": {:.3}, \"sharded_ms\": {:.3}, \
-                 \"speedup\": {:.2}, \"segments\": {}, \"threads\": {}, \"identical\": {}}}",
-                p.serial_ms, p.sharded_ms, p.speedup, p.segments, p.threads, p.identical
-            ),
-        };
         let fleet = match &self.fleet {
             None => String::new(),
             Some(p) => format!(
@@ -310,13 +299,12 @@ impl BenchSummary {
             format!(",\n  \"attack_matrix\": [\n{}\n  ]", rows.join(",\n"))
         };
         format!(
-            "{{\n  \"total_wall_ms\": {:.3},\n  \"sections\": [\n{}\n  ],\n  \"steps_probes\": [\n{}\n  ]{}{}{}{}{}\n}}\n",
+            "{{\n  \"total_wall_ms\": {:.3},\n  \"sections\": [\n{}\n  ],\n  \"steps_probes\": [\n{}\n  ]{}{}{}{}\n}}\n",
             self.total_wall_ms,
             sections.join(",\n"),
             probes.join(",\n"),
             interference,
             snapshot,
-            sharded,
             fleet,
             matrix
         )
@@ -463,31 +451,6 @@ mod tests {
         assert!(j.contains("\"name\": \"demo\""), "{j}");
         assert!(j.ends_with("}\n"), "{j}");
         assert!(!j.contains("snapshot_probe"), "{j}");
-    }
-
-    #[test]
-    fn sharded_row_serializes() {
-        let s = BenchSummary {
-            sharded: Some(crate::shards::ShardedProbe {
-                serial_ms: 10.0,
-                sharded_ms: 5.0,
-                speedup: 2.0,
-                segments: 4,
-                threads: 8,
-                identical: true,
-            }),
-            ..BenchSummary::default()
-        };
-        let j = s.to_json();
-        assert!(
-            j.contains("\"fig6_sharded\": {\"serial_ms\": 10.000"),
-            "{j}"
-        );
-        assert!(j.contains("\"identical\": true"), "{j}");
-        assert!(
-            !BenchSummary::default().to_json().contains("fig6_sharded"),
-            "row must be absent when the probe did not run"
-        );
     }
 
     #[test]

@@ -562,8 +562,8 @@ pub fn check(k: &Kernel) -> Vec<Violation> {
 /// are flagged; between slices an armed single-step window is legal.
 /// Returns empty when tracing is disabled or nothing was emitted. The
 /// verdict comes from the fold the tracer keeps up as it records
-/// ([`sm_trace::Tracer::check_order`]), so until the ring wraps a call
-/// costs what the slice emitted, not what the ring holds.
+/// ([`sm_trace::Tracer::check_order`]), so a call costs what the slice
+/// emitted, not what the ring holds, wrapped or not.
 pub fn check_trace(k: &Kernel, complete: bool) -> Vec<Violation> {
     let tracer = &k.sys.machine.tracer;
     let found = tracer.check_order(complete);
@@ -596,26 +596,6 @@ pub fn run_with_checks_hook(
     stride: u64,
     mut hook: impl FnMut(&mut Kernel, u64),
 ) -> (RunExit, Vec<Violation>) {
-    run_with_checks_until(k, max_cycles, stride, |k, slice| {
-        hook(k, slice);
-        true
-    })
-}
-
-/// [`run_with_checks_hook`] with a *steering* hook: returning `false`
-/// stops the run at that slice boundary, with whatever exit the slice
-/// produced (normally [`RunExit::CyclesExhausted`]) and no violations.
-///
-/// This is the segment-scheduler primitive: a shard runs its interval's
-/// worth of slices against the run's *global* deadline (so per-slice
-/// cycle budgets clip exactly as in the serial run) and uses the hook to
-/// stop at its last boundary instead of running to the deadline.
-pub fn run_with_checks_until(
-    k: &mut Kernel,
-    max_cycles: u64,
-    stride: u64,
-    mut hook: impl FnMut(&mut Kernel, u64) -> bool,
-) -> (RunExit, Vec<Violation>) {
     let stride = stride.max(1);
     let deadline = k.sys.machine.cycles.saturating_add(max_cycles);
     let mut slice: u64 = 0;
@@ -627,38 +607,6 @@ pub fn run_with_checks_until(
         violations.extend(check_trace(k, exit == RunExit::AllExited));
         if !violations.is_empty() || done {
             return (exit, violations);
-        }
-        if !hook(k, slice) {
-            return (exit, violations);
-        }
-        slice += 1;
-    }
-}
-
-/// The slice loop of [`run_with_checks_hook`] *without* the per-slice
-/// invariant and trace-order checks.
-///
-/// Execution is byte-for-byte the same — the checks are read-only, and
-/// the slice geometry (per-slice budget clipped against the deadline,
-/// which steers scheduler re-enqueue points) is reproduced exactly — so a
-/// snapshot taken from this loop's hook at slice `s` equals the checked
-/// loop's state at slice `s`, for every boundary the checked run reaches.
-/// This is the sharded pre-pass: it pays raw execution cost only, leaving
-/// the (more expensive) per-slice verification to the parallel segments.
-pub fn run_slices_hook(
-    k: &mut Kernel,
-    max_cycles: u64,
-    stride: u64,
-    mut hook: impl FnMut(&mut Kernel, u64),
-) -> RunExit {
-    let stride = stride.max(1);
-    let deadline = k.sys.machine.cycles.saturating_add(max_cycles);
-    let mut slice: u64 = 0;
-    loop {
-        let remaining = deadline.saturating_sub(k.sys.machine.cycles);
-        let exit = k.run(stride.min(remaining));
-        if exit != RunExit::CyclesExhausted || remaining <= stride {
-            return exit;
         }
         hook(k, slice);
         slice += 1;

@@ -21,6 +21,11 @@ pub const O_TRUNC: u32 = 0x200;
 /// `open` flag: append on write.
 pub const O_APPEND: u32 = 0x400;
 
+/// Largest size a file may reach through `write(2)`: files are host
+/// memory, and `lseek` accepts any 32-bit offset, so without a limit one
+/// guest byte written far past EOF would zero-fill up to 4 GiB.
+pub const MAX_FILE_BYTES: usize = 16 << 20;
+
 /// Simple flat ram filesystem: path → bytes.
 #[derive(Debug, Default)]
 pub struct RamFs {
@@ -62,7 +67,8 @@ impl RamFs {
 
     /// Write `data` into `path` at `offset` — or at EOF when `append` —
     /// growing (and zero-filling) the file as needed. The file is created
-    /// if missing. Returns the offset just past the written bytes.
+    /// if missing. Returns the offset just past the written bytes. The
+    /// caller keeps that offset within [`MAX_FILE_BYTES`].
     pub fn write_at(&mut self, path: &str, offset: usize, data: &[u8], append: bool) -> usize {
         let file = self.files.entry(path.to_string()).or_default();
         let at = if append { file.len() } else { offset };

@@ -46,23 +46,6 @@ impl KernelStats {
             soft_tlb_fills: self.soft_tlb_fills.saturating_sub(earlier.soft_tlb_fills),
         }
     }
-
-    /// Field-wise saturating accumulation of a [`since`](Self::since)
-    /// delta, the inverse operation: summing each segment's delta onto the
-    /// first segment's baseline reconstructs the end-of-run totals.
-    pub fn absorb(&mut self, delta: &KernelStats) {
-        self.context_switches = self.context_switches.saturating_add(delta.context_switches);
-        self.demand_pages = self.demand_pages.saturating_add(delta.demand_pages);
-        self.cow_breaks = self.cow_breaks.saturating_add(delta.cow_breaks);
-        self.syscalls = self.syscalls.saturating_add(delta.syscalls);
-        self.handler_signals = self.handler_signals.saturating_add(delta.handler_signals);
-        self.fatal_signals = self.fatal_signals.saturating_add(delta.fatal_signals);
-        self.processes_spawned = self
-            .processes_spawned
-            .saturating_add(delta.processes_spawned);
-        self.libraries_loaded = self.libraries_loaded.saturating_add(delta.libraries_loaded);
-        self.soft_tlb_fills = self.soft_tlb_fills.saturating_add(delta.soft_tlb_fills);
-    }
 }
 
 #[cfg(test)]
@@ -83,23 +66,5 @@ mod tests {
         let d = b.since(&a);
         assert_eq!(d.syscalls, 4);
         assert_eq!(d.context_switches, 2);
-    }
-
-    #[test]
-    fn absorb_inverts_since() {
-        let a = KernelStats {
-            syscalls: 5,
-            cow_breaks: 1,
-            ..KernelStats::default()
-        };
-        let b = KernelStats {
-            syscalls: 9,
-            context_switches: 2,
-            cow_breaks: 3,
-            ..KernelStats::default()
-        };
-        let mut rebuilt = a;
-        rebuilt.absorb(&b.since(&a));
-        assert_eq!(rebuilt, b);
     }
 }

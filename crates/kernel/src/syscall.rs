@@ -90,6 +90,8 @@ pub const EACCES: i32 = -13;
 pub const EFAULT: i32 = -14;
 /// Invalid argument.
 pub const EINVAL: i32 = -22;
+/// File too large: a write starts at or past [`fs::MAX_FILE_BYTES`].
+pub const EFBIG: i32 = -27;
 /// Broken pipe.
 pub const EPIPE: i32 = -32;
 /// Function not implemented.
@@ -370,6 +372,18 @@ fn sys_write(k: &mut Kernel, pid: Pid, fd: u32, buf: u32, len: u32) -> Outcome {
             if flags & (fs::O_WRONLY | fs::O_RDWR) == 0 {
                 return Outcome::Ret(EBADF);
             }
+            let append = flags & fs::O_APPEND != 0;
+            let start = if append {
+                k.sys.fs.file(&path).map_or(0, Vec::len)
+            } else {
+                offset as usize
+            };
+            // POSIX: a write that would cross the size limit writes only
+            // the bytes below it; one that starts at the limit fails.
+            let room = fs::MAX_FILE_BYTES.saturating_sub(start);
+            if room == 0 {
+                return Outcome::Ret(EFBIG);
+            }
             // Disk faults are drawn after validation but before the
             // transfer: a failed write moves no bytes, a short write
             // commits exactly one and reports it.
@@ -381,13 +395,12 @@ fn sys_write(k: &mut Kernel, pid: Pid, fd: u32, buf: u32, len: u32) -> Outcome {
                 data.len().min(1)
             } else {
                 data.len()
-            };
-            let end = k.sys.fs.write_at(
-                &path,
-                offset as usize,
-                &data[..n],
-                flags & fs::O_APPEND != 0,
-            );
+            }
+            .min(room);
+            let end = k
+                .sys
+                .fs
+                .write_at(&path, offset as usize, &data[..n], append);
             k.sys.proc_mut(pid).fds[fd as usize] = Some(FdObject::File {
                 path,
                 offset: end as u32,

@@ -1,11 +1,13 @@
-//! A length a guest passes to a system call never sizes a host
+//! A length or offset a guest passes to a system call never sizes a host
 //! allocation by itself: the kernel allocates for the bytes that actually
 //! move. A counting global allocator records the largest single request
 //! while a guest asks for (almost) 4 GiB in a `write` from its data
-//! segment (EFAULT once the copy reaches unmapped memory) and in a `read`
-//! from a pipe holding five bytes (returns 5). Requests of 1 GiB or more
-//! are refused outright, so a regression aborts the test instead of
-//! reserving host memory.
+//! segment (EFAULT once the copy reaches unmapped memory), in a `read`
+//! from a pipe holding five bytes (returns 5), and in a one-byte `write`
+//! to a file after `lseek` to an offset near 4 GiB (EFBIG: past the
+//! ramfs's per-file limit). Requests of 1 GiB or more are refused
+//! outright, so a regression aborts the test instead of reserving host
+//! memory.
 
 use sm_kernel::engine::NullEngine;
 use sm_kernel::kernel::{Kernel, RunExit};
@@ -137,4 +139,51 @@ fn huge_guest_lengths_allocate_only_what_moves() {
     );
     assert_eq!(code, Some(0), "read must return the 5 buffered bytes");
     assert!(largest < LIMIT, "read: largest allocation {largest} bytes");
+
+    let (code, largest) = run(
+        "/bin/bigseek",
+        "_start:
+            mov eax, SYS_OPEN
+            mov ebx, path
+            mov ecx, 0x241        ; O_WRONLY|O_CREAT|O_TRUNC
+            int 0x80
+            mov [fd], eax
+            ; two seeks of 2^31 - 1 reach offset 0xFFFFFFFE
+            mov eax, SYS_LSEEK
+            mov ebx, [fd]
+            mov ecx, 0x7FFFFFFF
+            mov edx, 0            ; SEEK_SET
+            int 0x80
+            mov eax, SYS_LSEEK
+            mov ebx, [fd]
+            mov ecx, 0x7FFFFFFF
+            mov edx, 1            ; SEEK_CUR
+            int 0x80
+            cmp eax, 0xFFFFFFFE
+            jne bad
+            mov eax, SYS_WRITE
+            mov ebx, [fd]
+            mov ecx, one
+            mov edx, 1
+            int 0x80
+            cmp eax, -27          ; EFBIG
+            jne bad
+            mov ebx, 0
+            call exit
+        bad:
+            mov ebx, 1
+            call exit",
+        "path: .asciz \"/tmp/big\"
+         fd: .word 0
+         one: .ascii \"x\"",
+    );
+    assert_eq!(
+        code,
+        Some(0),
+        "a write at offset 0xFFFFFFFE must fail with EFBIG"
+    );
+    assert!(
+        largest < LIMIT,
+        "seek+write: largest allocation {largest} bytes"
+    );
 }

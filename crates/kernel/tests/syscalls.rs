@@ -124,6 +124,59 @@ fn lseek_repositions_the_cursor() {
     assert_eq!(k.sys.fs.file("/tmp/s").unwrap().as_slice(), b"abXYef");
 }
 
+/// A write that would cross `fs::MAX_FILE_BYTES` writes only the bytes
+/// below it (POSIX), and the next one, starting at the limit, is EFBIG.
+#[test]
+fn writes_stop_at_the_file_size_limit() {
+    let prog = ProgramBuilder::new("/bin/limit")
+        .code(
+            "_start:
+                mov eax, SYS_OPEN
+                mov ebx, path
+                mov ecx, 0x241
+                int 0x80
+                mov [fd], eax
+                ; two bytes below the 16 MiB limit, SEEK_SET
+                mov eax, SYS_LSEEK
+                mov ebx, [fd]
+                mov ecx, 0xFFFFFE
+                mov edx, 0
+                int 0x80
+                mov eax, SYS_WRITE
+                mov ebx, [fd]
+                mov ecx, content
+                mov edx, 5
+                int 0x80
+                cmp eax, 2
+                jne bad
+                mov eax, SYS_WRITE
+                mov ebx, [fd]
+                mov ecx, content
+                mov edx, 1
+                int 0x80
+                cmp eax, -27          ; EFBIG
+                jne bad
+                mov ebx, 0
+                call exit
+            bad:
+                mov ebx, 1
+                call exit",
+        )
+        .data(
+            "path: .asciz \"/tmp/limit\"
+             fd: .word 0
+             content: .ascii \"abcde\"",
+        )
+        .build()
+        .unwrap();
+    let mut k = kernel();
+    let (_, code) = run_to_exit(&mut k, &prog);
+    assert_eq!(code, Some(0));
+    let file = k.sys.fs.file("/tmp/limit").unwrap();
+    assert_eq!(file.len(), sm_kernel::fs::MAX_FILE_BYTES);
+    assert_eq!(&file[file.len() - 2..], b"ab");
+}
+
 #[test]
 fn bad_fds_return_ebadf() {
     let prog = ProgramBuilder::new("/bin/badfd")

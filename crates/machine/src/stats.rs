@@ -48,21 +48,6 @@ impl MachineStats {
             invlpgs: self.invlpgs.saturating_sub(earlier.invlpgs),
         }
     }
-
-    /// Field-wise saturating accumulation of a [`since`](Self::since)
-    /// delta, the inverse operation: summing each segment's delta onto the
-    /// first segment's baseline reconstructs the end-of-run totals.
-    pub fn absorb(&mut self, delta: &MachineStats) {
-        self.instructions = self.instructions.saturating_add(delta.instructions);
-        self.walks = self.walks.saturating_add(delta.walks);
-        self.page_faults = self.page_faults.saturating_add(delta.page_faults);
-        self.invalid_opcodes = self.invalid_opcodes.saturating_add(delta.invalid_opcodes);
-        self.debug_traps = self.debug_traps.saturating_add(delta.debug_traps);
-        self.divide_errors = self.divide_errors.saturating_add(delta.divide_errors);
-        self.syscalls = self.syscalls.saturating_add(delta.syscalls);
-        self.cr3_loads = self.cr3_loads.saturating_add(delta.cr3_loads);
-        self.invlpgs = self.invlpgs.saturating_add(delta.invlpgs);
-    }
 }
 
 #[cfg(test)]
@@ -86,25 +71,5 @@ mod tests {
         assert_eq!(d.instructions, 15);
         assert_eq!(d.walks, 3);
         assert_eq!(d.page_faults, 2);
-    }
-
-    #[test]
-    fn absorb_inverts_since() {
-        let early = MachineStats {
-            instructions: 10,
-            walks: 1,
-            syscalls: 3,
-            ..MachineStats::default()
-        };
-        let late = MachineStats {
-            instructions: 25,
-            walks: 4,
-            page_faults: 2,
-            syscalls: 7,
-            ..MachineStats::default()
-        };
-        let mut rebuilt = early;
-        rebuilt.absorb(&late.since(&early));
-        assert_eq!(rebuilt, late);
     }
 }

@@ -461,13 +461,11 @@ impl Machine {
         }
         let mut retired: u64 = 0;
         let insn_cost = self.config.costs.insn;
-        // Intra-call memos. Both are *derived* state over facts re-checked
-        // every chain entry (frame version) or invariant within the call
-        // (I-TLB entry residency — see below), so neither outlives the
-        // call and neither can go stale inside it.
-        //
-        // `hot_page`: the page whose I-TLB entry the last fast-path block
-        // entry translated for real. That translate left the entry at way
+        // `hot_page`: an intra-call memo of the page whose I-TLB entry the
+        // last fast-path block entry translated for real. It is *derived*
+        // state over a fact invariant within the call (I-TLB entry
+        // residency), so it neither outlives the call nor goes stale
+        // inside it. That translate left the entry at way
         // 0 of its set and at the front of the shadow recency list, with
         // rights already vetted; and nothing inside the fast path touches
         // the I-TLB afterwards (data accesses go through the D-TLB, and a
@@ -476,17 +474,7 @@ impl Machine {
         // rotate and shadow-touch are both no-ops: `hits += 1` replays it
         // exactly. Any slow [`Machine::step`] clears the memo — its fetch
         // may touch other pages (e.g. a page-crossing instruction).
-        //
-        // `memo`: the last block executed, keyed by (pfn, off, version),
-        // short-circuiting the BTreeMap probe for tight loops.
         let mut hot_page: Option<(u32, u32)> = None;
-        struct BlockMemo {
-            pfn: u32,
-            off: u32,
-            version: u64,
-            block: Arc<Block>,
-        }
-        let mut memo: Option<BlockMemo> = None;
         loop {
             if self.cycles >= cycle_limit {
                 return (retired, Trap::None);
@@ -528,40 +516,25 @@ impl Machine {
             };
             let off = pte::page_offset(eip);
             let version = self.phys.frame_version(pfn);
-            let memo_hit = memo
-                .as_ref()
-                .is_some_and(|m| m.pfn == pfn && m.off == off && m.version == version);
-            if memo_hit {
-                self.superblocks.stats.hits += 1;
-            } else {
-                let block = match self.superblocks.lookup(pfn, off, version) {
-                    Some(b) => b,
-                    None => {
-                        let ops = build_block(self.phys.frame_bytes(Frame(pfn)), off);
-                        self.superblocks.insert(pfn, off, version, ops)
-                    }
-                };
-                if block.ops.is_empty() {
-                    // The entry instruction crosses the page edge:
-                    // uncacheable.
-                    hot_page = None;
-                    self.superblocks.stats.slow_steps += 1;
-                    match self.step() {
-                        Trap::None => {
-                            retired += 1;
-                            continue;
-                        }
-                        t => return (retired, t),
-                    }
+            let block = match self.superblocks.lookup(pfn, off, version) {
+                Some(b) => b,
+                None => {
+                    let ops = build_block(self.phys.frame_bytes(Frame(pfn)), off);
+                    self.superblocks.insert(pfn, off, version, ops)
                 }
-                memo = Some(BlockMemo {
-                    pfn,
-                    off,
-                    version,
-                    block,
-                });
+            };
+            if block.ops.is_empty() {
+                // The entry instruction crosses the page edge: uncacheable.
+                hot_page = None;
+                self.superblocks.stats.slow_steps += 1;
+                match self.step() {
+                    Trap::None => {
+                        retired += 1;
+                        continue;
+                    }
+                    t => return (retired, t),
+                }
             }
-            let block: &Block = &memo.as_ref().expect("memo set above").block;
             let ops: &[CachedDecode] = &block.ops;
             let mut eip_i = eip;
             // Set once an executed op may have stored. The version was
@@ -740,14 +713,14 @@ impl Machine {
                                         // targets this block's own entry.
                                         // The chain re-entry is replayed
                                         // inline — budget check, version
-                                        // re-check (above; the memo
-                                        // compare is vacuous for an
-                                        // unchanged key) and the
-                                        // superblock hit — without
-                                        // re-resolving page or memo. The
-                                        // entry is hot by construction:
-                                        // this page's fetch translate
-                                        // already ran this call.
+                                        // re-check (above) and the
+                                        // superblock hit `lookup` would
+                                        // count for the unchanged key —
+                                        // without re-resolving page or
+                                        // block. The entry is hot by
+                                        // construction: this page's
+                                        // fetch translate already ran
+                                        // this call.
                                         self.superblocks.stats.hits += 1;
                                         entry_hot = true;
                                         eip_i = eip;

@@ -630,9 +630,10 @@ pub struct Tracer {
     pid_filter: Option<u32>,
     buf: VecDeque<TraceRecord>,
     // The ordering fold of every record pushed since the ring was last
-    // emptied, kept up as records arrive; `None` once the ring has dropped
-    // one of them (the verdict is then a fold of what the ring retains).
-    order: Option<OrderCheck>,
+    // emptied, kept up as records arrive. Its verdicts carry the seq they
+    // depend on, so it answers for whatever part of that stream the ring
+    // still holds.
+    order: OrderCheck,
 }
 
 impl Default for Tracer {
@@ -653,7 +654,7 @@ impl Tracer {
             next_seq: 0,
             pid_filter: None,
             buf: VecDeque::new(),
-            order: Some(OrderCheck::new(false)),
+            order: OrderCheck::new(false),
         }
     }
 
@@ -666,7 +667,7 @@ impl Tracer {
             next_seq: 0,
             pid_filter: None,
             buf: VecDeque::with_capacity(capacity.min(4096)),
-            order: Some(OrderCheck::new(false)),
+            order: OrderCheck::new(false),
         }
     }
 
@@ -684,7 +685,7 @@ impl Tracer {
         let mut t = Tracer::new(mask, capacity);
         t.next_seq = next_seq;
         t.pid_filter = pid_filter;
-        t.order = Some(OrderCheck::new(next_seq > 0));
+        t.order = OrderCheck::new(next_seq > 0);
         t
     }
 
@@ -756,16 +757,13 @@ impl Tracer {
         }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
-            self.order = None;
         }
         let r = TraceRecord {
             seq: self.next_seq,
             cycles,
             event,
         };
-        if let Some(order) = &mut self.order {
-            order.feed(&r);
-        }
+        self.order.feed(&r);
         self.buf.push_back(r);
         self.next_seq += 1;
     }
@@ -818,21 +816,18 @@ impl Tracer {
     /// Drop every retained record (the sequence counter keeps running).
     pub fn clear(&mut self) {
         self.buf.clear();
-        self.order = Some(OrderCheck::new(self.next_seq > 0));
+        self.order = OrderCheck::new(self.next_seq > 0);
     }
 
     /// [`check_order`] over the retained records:
     /// `check_order(&self.snapshot(), self.truncated(), complete)`.
     ///
-    /// Until the ring drops a record, the answer comes from the fold the
-    /// tracer keeps up as it records, so a query costs nothing per
-    /// retained record. Once the ring has wrapped, the retained records
-    /// are folded afresh on every query, as the reference does.
+    /// The answer comes from the fold the tracer keeps up as it records:
+    /// the verdicts and leftover pages whose dependency the ring still
+    /// holds. A query costs what it reports, not what the ring holds,
+    /// whether or not the ring has wrapped.
     pub fn check_order(&self, complete: bool) -> Vec<String> {
-        match &self.order {
-            Some(order) => order.finish(complete),
-            None => check_order(&self.buf, self.truncated(), complete),
-        }
+        self.order.finish(complete, self.dropped())
     }
 }
 
@@ -874,23 +869,40 @@ pub fn check_order<'a>(
     for r in records {
         check.feed(r);
     }
-    check.finish(complete)
+    check.finish(complete, 0)
 }
 
 /// The state of [`check_order`]'s fold after some prefix of a stream:
 /// [`feed`](OrderCheck::feed) it records in emission order and ask
 /// [`finish`](OrderCheck::finish) for the verdict at any point.
+///
+/// Every verdict is kept with the seq of the one earlier record it
+/// depends on, and every open or armed page with the seq of the record
+/// that put it in that state. A ring that has dropped its head holds the
+/// records from some seq `since` on. The reference fold over just those
+/// records, in truncated mode, differs from this fold in one way only: a
+/// key whose last op was dropped reads as absent. Absent state never
+/// yields a verdict in truncated mode, so the reference reports exactly
+/// the verdicts and leftovers whose dependency is at or after `since`.
 #[derive(Debug, Clone, Default)]
 struct OrderCheck {
     truncated: bool,
+    prev_seq: u64,
     prev_cycles: u64,
-    pages: BTreeMap<(u32, u32), PageState>,
-    armed: BTreeMap<u32, u32>,
-    // The at-most-one transiently open page (engine fault handlers are
-    // synchronous, so two simultaneous opens are themselves a violation).
-    open: Option<(u32, u32)>,
-    violations: Vec<String>,
+    pages: BTreeMap<(u32, u32), (PageState, u64)>,
+    // Each pid's armed window: the page and the seq of its `StepArm`.
+    armed: BTreeMap<u32, (u32, u64)>,
+    // The at-most-one transiently open page and the seq that opened it
+    // (engine fault handlers are synchronous, so two simultaneous opens
+    // are themselves a violation).
+    open: Option<((u32, u32), u64)>,
+    violations: Vec<(u64, String)>,
 }
+
+/// What the checks a truncated stream waives depend on: a fold that is
+/// not truncated covers its stream from the first seq, so these verdicts
+/// stand only while the ring still holds seq 0.
+const STREAM_HEAD: u64 = 0;
 
 impl OrderCheck {
     /// An empty fold; `truncated` as for [`check_order`].
@@ -905,6 +917,7 @@ impl OrderCheck {
     fn feed(&mut self, r: &TraceRecord) {
         let OrderCheck {
             truncated,
+            prev_seq,
             prev_cycles,
             pages,
             armed,
@@ -913,16 +926,20 @@ impl OrderCheck {
         } = self;
         let truncated = *truncated;
         if r.cycles < *prev_cycles {
-            violations.push(format!(
-                "seq {}: cycle stamp went backwards ({} after {})",
-                r.seq, r.cycles, prev_cycles
+            violations.push((
+                *prev_seq,
+                format!(
+                    "seq {}: cycle stamp went backwards ({} after {})",
+                    r.seq, r.cycles, prev_cycles
+                ),
             ));
         }
+        *prev_seq = r.seq;
         *prev_cycles = r.cycles;
 
         // Rule 2: while a page is transiently open, only the handler's own
         // TLB traffic or events resolving that same page may appear.
-        if let Some((opid, ovpn)) = *open {
+        if let Some(((opid, ovpn), opened)) = *open {
             let same_page = match r.event {
                 TraceEvent::PteRestrict { pid, vpn }
                 | TraceEvent::StepArm { pid, vpn }
@@ -936,9 +953,12 @@ impl OrderCheck {
                     | TraceEvent::TlbFlush { .. }
             );
             if !same_page && !handler_traffic {
-                violations.push(format!(
-                    "seq {}: {:?} while page (pid {}, vpn {:#x}) was still unrestricted",
-                    r.seq, r.event, opid, ovpn
+                violations.push((
+                    opened,
+                    format!(
+                        "seq {}: {:?} while page (pid {}, vpn {:#x}) was still unrestricted",
+                        r.seq, r.event, opid, ovpn
+                    ),
                 ));
                 *open = None; // report once, don't cascade
             }
@@ -946,13 +966,16 @@ impl OrderCheck {
 
         match r.event {
             TraceEvent::PteUnrestrict { pid, vpn, .. } => {
-                if pages.insert((pid, vpn), PageState::Open).is_some() {
-                    violations.push(format!(
-                        "seq {}: pid {} vpn {vpn:#x} unrestricted while already open/armed",
-                        r.seq, pid
+                if let Some((_, set)) = pages.insert((pid, vpn), (PageState::Open, r.seq)) {
+                    violations.push((
+                        set,
+                        format!(
+                            "seq {}: pid {} vpn {vpn:#x} unrestricted while already open/armed",
+                            r.seq, pid
+                        ),
                     ));
                 }
-                *open = Some((pid, vpn));
+                *open = Some(((pid, vpn), r.seq));
             }
             TraceEvent::PteRestrict { pid, vpn } => {
                 // A restrict with no tracked open state is legal: degrade
@@ -960,60 +983,68 @@ impl OrderCheck {
                 // idempotently, and a truncated trace may have lost the
                 // matching unrestrict.
                 pages.remove(&(pid, vpn));
-                if *open == Some((pid, vpn)) {
-                    *open = None;
-                }
+                open.take_if(|(page, _)| *page == (pid, vpn));
             }
             TraceEvent::StepArm { pid, vpn } => {
-                match pages.get(&(pid, vpn)) {
+                match pages.get(&(pid, vpn)).map(|(state, _)| state) {
                     Some(PageState::Open) => {}
                     _ if truncated => {}
-                    other => violations.push(format!(
-                        "seq {}: single-step armed on pid {} vpn {vpn:#x} in state {:?} (expected an open unrestrict)",
-                        r.seq, pid, other
+                    other => violations.push((
+                        STREAM_HEAD,
+                        format!(
+                            "seq {}: single-step armed on pid {} vpn {vpn:#x} in state {:?} (expected an open unrestrict)",
+                            r.seq, pid, other
+                        ),
                     )),
                 }
-                if let Some(prior) = armed.insert(pid, vpn) {
-                    violations.push(format!(
-                        "seq {}: pid {} armed a second window (vpn {vpn:#x}) while vpn {prior:#x} was still armed",
-                        r.seq, pid
+                if let Some((prior, set)) = armed.insert(pid, (vpn, r.seq)) {
+                    violations.push((
+                        set,
+                        format!(
+                            "seq {}: pid {} armed a second window (vpn {vpn:#x}) while vpn {prior:#x} was still armed",
+                            r.seq, pid
+                        ),
                     ));
                 }
-                pages.insert((pid, vpn), PageState::Armed);
-                if *open == Some((pid, vpn)) {
-                    *open = None;
-                }
+                pages.insert((pid, vpn), (PageState::Armed, r.seq));
+                open.take_if(|(page, _)| *page == (pid, vpn));
             }
             TraceEvent::StepFire { pid, vpn, .. } => {
                 match armed.remove(&pid) {
-                    Some(av) if av != vpn => violations.push(format!(
-                        "seq {}: pid {} window fired for vpn {vpn:#x} but vpn {av:#x} was armed",
-                        r.seq, pid
+                    Some((av, set)) if av != vpn => violations.push((
+                        set,
+                        format!(
+                            "seq {}: pid {} window fired for vpn {vpn:#x} but vpn {av:#x} was armed",
+                            r.seq, pid
+                        ),
                     )),
                     Some(_) => {}
                     None if truncated => {}
-                    None => violations.push(format!(
-                        "seq {}: pid {} debug trap fired with no armed window",
-                        r.seq, pid
+                    None => violations.push((
+                        STREAM_HEAD,
+                        format!(
+                            "seq {}: pid {} debug trap fired with no armed window",
+                            r.seq, pid
+                        ),
                     )),
                 }
                 // The fired page must now be re-restricted before anything
                 // else runs.
-                pages.insert((pid, vpn), PageState::Open);
-                *open = Some((pid, vpn));
+                pages.insert((pid, vpn), (PageState::Open, r.seq));
+                *open = Some(((pid, vpn), r.seq));
             }
             TraceEvent::StepDisarm { pid, vpn, cause } => {
                 if armed.remove(&pid).is_none() && !truncated {
-                    violations.push(format!(
-                        "seq {}: pid {} disarmed with no armed window",
-                        r.seq, pid
+                    violations.push((
+                        STREAM_HEAD,
+                        format!("seq {}: pid {} disarmed with no armed window", r.seq, pid),
                     ));
                 }
                 match cause {
                     DisarmCause::Detection => {
                         // The engine restores the at-rest PTE next.
-                        pages.insert((pid, vpn), PageState::Open);
-                        *open = Some((pid, vpn));
+                        pages.insert((pid, vpn), (PageState::Open, r.seq));
+                        *open = Some(((pid, vpn), r.seq));
                     }
                     DisarmCause::Exit => {
                         // Teardown frees the address space; nothing to close.
@@ -1023,36 +1054,42 @@ impl OrderCheck {
             }
             TraceEvent::PageUnsplit { pid, vpn } => {
                 pages.remove(&(pid, vpn));
-                if *open == Some((pid, vpn)) {
-                    *open = None;
-                }
+                open.take_if(|(page, _)| *page == (pid, vpn));
             }
             TraceEvent::ProcessExit { pid, .. } => {
-                if let Some(vpn) = armed.remove(&pid) {
-                    violations.push(format!(
-                        "seq {}: pid {} exited with an armed window on vpn {vpn:#x}",
-                        r.seq, pid
+                if let Some((vpn, set)) = armed.remove(&pid) {
+                    violations.push((
+                        set,
+                        format!(
+                            "seq {}: pid {} exited with an armed window on vpn {vpn:#x}",
+                            r.seq, pid
+                        ),
                     ));
                 }
                 pages.retain(|(p, _), _| *p != pid);
-                if open.map(|(p, _)| p) == Some(pid) {
-                    *open = None;
-                }
+                open.take_if(|((p, _), _)| *p == pid);
             }
             _ => {}
         }
     }
 
-    /// The violations found so far, followed — with `complete` — by every
-    /// page still open or armed. The fold itself is untouched, so feeding
-    /// can go on.
-    fn finish(&self, complete: bool) -> Vec<String> {
-        let mut out = self.violations.clone();
+    /// The violations found so far whose dependency is at or after seq
+    /// `since`, followed — with `complete` — by every page still open or
+    /// armed since then. The fold itself is untouched, so feeding can go
+    /// on.
+    fn finish(&self, complete: bool, since: u64) -> Vec<String> {
+        let mut out: Vec<String> = self
+            .violations
+            .iter()
+            .filter(|(dep, _)| *dep >= since)
+            .map(|(_, v)| v.clone())
+            .collect();
         if complete {
             let mut leftovers: Vec<String> = self
                 .pages
                 .iter()
-                .map(|((pid, vpn), st)| {
+                .filter(|(_, (_, set))| *set >= since)
+                .map(|((pid, vpn), (st, _))| {
                     format!(
                         "end of trace: pid {pid} vpn {vpn:#x} left {st:?} (never re-restricted)"
                     )

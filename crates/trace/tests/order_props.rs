@@ -1,14 +1,14 @@
 //! Property test for the tracer's streaming ordering check.
 //!
-//! `Tracer::check_order` answers from a fold it keeps up as it records,
-//! restarts that fold on `clear` and `restore_meta`, and falls back to
-//! folding the retained ring once the ring has dropped a record. Whatever
-//! path it takes, its answer must equal the reference: `check_order` over
-//! a copy of the retained ring, with the ring's own truncation flag. The
-//! streams are random, weighted toward the PTE, single-step and exit
-//! events the fold tracks, on few enough pids and pages that windows
-//! collide; ring capacities range from a handful of records (every stream
-//! wraps) to more than any stream emits.
+//! `Tracer::check_order` answers from a fold it keeps up as it records
+//! and restarts on `clear` and `restore_meta`. Once the ring has dropped
+//! records, it reports only the verdicts and leftover pages whose
+//! dependency the ring still holds. Its answer must equal the reference:
+//! `check_order` over a copy of the retained ring, with the ring's own
+//! truncation flag. The streams are random, weighted toward the PTE,
+//! single-step and exit events the fold tracks, on few enough pids and
+//! pages that windows collide; ring capacities range from a handful of
+//! records (every stream wraps) to more than any stream emits.
 
 use proptest::prelude::*;
 use sm_trace::{

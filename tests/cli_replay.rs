@@ -95,15 +95,23 @@ fn dump_demo_unwritable_path_is_a_typed_error() {
     assert_eq!(out.status.code(), Some(1));
 }
 
+/// Sharded execution is gone, so `--shards` is an unknown argument
+/// whatever its value: every form of it is a usage error (exit 2), not
+/// a run that silently ignores the flag.
 #[test]
 fn bad_shard_count_is_a_usage_error() {
-    let out = run(&["--shards", "many"]);
-    assert_typed_failure(&out, "--shards is not a number");
+    for args in [&["--shards", "many"][..], &["--shards", "0"], &["--shards"]] {
+        let out = run(args);
+        assert_typed_failure(&out, "unrecognised argument --shards");
+        assert_eq!(out.status.code(), Some(2));
+    }
+    // `fig6_normalized` takes no arguments at all.
+    let out = Command::new(env!("CARGO_BIN_EXE_fig6_normalized"))
+        .args(["--shards", "8"])
+        .output()
+        .expect("fig6_normalized bin runs");
+    assert_typed_failure(&out, "unrecognised argument --shards");
     assert_eq!(out.status.code(), Some(2));
-    let out = run(&["--shards", "0"]);
-    assert_typed_failure(&out, "--shards must be >= 1");
-    let out = run(&["--shards"]);
-    assert_typed_failure(&out, "--shards needs a value");
 }
 
 #[test]

@@ -16,13 +16,18 @@
 //! * **Trace knobs** — `KernelConfig::trace_capacity` bounds the ring and
 //!   `KernelConfig::trace_pid` filters events without assigning sequence
 //!   numbers to dropped ones.
+//! * **Mid-window snapshots** — a snapshot taken while a paper-§7
+//!   single-step window is armed, or between a COW share and its break,
+//!   restores byte-identically and continues byte-identically.
 
 use proptest::prelude::*;
 use sm_attacks::wilander;
 use sm_bench::chaos::{self, Scenario};
+use sm_bench::interference;
+use sm_core::invariants;
 use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
-use sm_kernel::kernel::{KernelConfig, RunExit};
+use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
 use sm_kernel::snapshot as ksnap;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
 use sm_machine::chaos::{FaultPlan, SnapshotFault};
@@ -53,11 +58,17 @@ fn snap_faulting_plan(seed: u64) -> FaultPlan {
     }
 }
 
-fn dump_of(cp: &chaos::Checkpointed, scenario: Scenario, plan: FaultPlan, stride: u64) -> Vec<u8> {
+fn dump_of(
+    cp: &chaos::Checkpointed,
+    scenario: Scenario,
+    protection: &Protection,
+    plan: FaultPlan,
+    stride: u64,
+) -> Vec<u8> {
     chaos::write_dump(&chaos::FailureDump {
         scenario: scenario.name(),
         plan_name: "test",
-        protection: split_break(),
+        protection: protection.clone(),
         tlb: TlbPreset::default(),
         plan,
         marker: cp.marker,
@@ -77,14 +88,27 @@ fn dump_of(cp: &chaos::Checkpointed, scenario: Scenario, plan: FaultPlan, stride
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// For arbitrary perturbation plans and checkpoint intervals, the
+    /// For arbitrary perturbation plans, checkpoint intervals and
+    /// engines (split memory alone, the shadow stack alone, and the
+    /// shadow-stack/CFI engine over combined split memory + NX), the
     /// checkpointed run matches the plain run exactly, and a replay from
     /// its latest checkpoint reproduces the verdict and splices into the
-    /// byte-identical trace stream.
+    /// byte-identical trace stream: every engine's state survives the
+    /// dump round trip and continues exactly.
     #[test]
-    fn replay_from_checkpoint_is_exact(seed in 1u64..32, plan_idx in 0usize..7, every in 1u64..4) {
+    fn replay_from_checkpoint_is_exact(
+        seed in 1u64..32,
+        plan_idx in 0usize..7,
+        every in 1u64..4,
+        prot_idx in 0usize..3,
+    ) {
         let scenario = canonical_scenario();
-        let split = split_break();
+        let protection = [
+            split_break(),
+            Protection::ShadowStack(ResponseMode::Break),
+            Protection::ShadowCombined(ResponseMode::Break),
+        ][prot_idx]
+            .clone();
         let tlb = TlbPreset::default();
         let plans = chaos::perturbation_plans(seed);
         let plan = FaultPlan {
@@ -92,9 +116,9 @@ proptest! {
             ..plans[plan_idx % plans.len()].plan
         };
         let (plain, plain_jsonl) =
-            chaos::run_scenario_traced_on(scenario, &split, tlb, plan, mask::ALL);
+            chaos::run_scenario_traced_on(scenario, &protection, tlb, plan, mask::ALL);
         let cp = chaos::run_scenario_checkpointed_on(
-            scenario, &split, tlb, plan, mask::ALL, chaos::Cadence { every, stride: 500 },
+            scenario, &protection, tlb, plan, mask::ALL, chaos::Cadence { every, stride: 500 },
         );
         // Checkpointing (and snapshot-fault injection) is invisible to
         // the guest.
@@ -105,7 +129,7 @@ proptest! {
         // Replay from the latest good checkpoint (present unless snapshot
         // faults ate every single one).
         if cp.snapshot.is_some() {
-            let dump = dump_of(&cp, scenario, plan, 500);
+            let dump = dump_of(&cp, scenario, &protection, plan, 500);
             let rep = chaos::replay_dump(&dump).expect("dump replays");
             prop_assert!(rep.verdict_matches, "verdict {} != {}", rep.verdict, rep.expected_verdict);
             prop_assert!(rep.splice_matches, "trace tail diverged");
@@ -173,7 +197,7 @@ fn corrupted_snapshots_and_dumps_never_panic() {
         },
     );
     let snap = cp.snapshot.clone().expect("checkpoint exists");
-    let dump = dump_of(&cp, scenario, plan, 500);
+    let dump = dump_of(&cp, scenario, &split, plan, 500);
 
     // Structured faults on the kernel snapshot: every kind, many seeds.
     for seed in 0..48u64 {
@@ -481,4 +505,122 @@ fn golden_dump_replays() {
     assert!(rep.splice_matches, "golden trace tail diverged");
     assert!(rep.violations.is_empty());
     assert_eq!(rep.verdict, "foiled(detected=true)");
+}
+
+/// Boot a bare split-memory kernel for the mid-window snapshot tests:
+/// deterministic stack, full trace. A restored kernel decodes cold, which
+/// must not show in anything it goes on to produce.
+fn boot_bare(plan: FaultPlan) -> Kernel {
+    split_break().kernel_on(
+        TlbPreset::default(),
+        KernelConfig {
+            aslr_stack: false,
+            chaos: plan,
+            trace: mask::ALL,
+            ..KernelConfig::default()
+        },
+    )
+}
+
+/// Run `k` unchecked in `stride`-cycle slices until `armed` holds at a
+/// slice boundary (or the guest exits / `max_slices` passes). Returns the
+/// snapshot taken at that boundary.
+fn snapshot_when(
+    k: &mut Kernel,
+    stride: u64,
+    max_slices: u64,
+    armed: impl Fn(&Kernel) -> bool,
+) -> Option<Vec<u8>> {
+    for _ in 0..max_slices {
+        let exit = k.run(stride);
+        if armed(k) {
+            return Some(ksnap::save(k));
+        }
+        if exit != RunExit::CyclesExhausted {
+            return None;
+        }
+    }
+    None
+}
+
+/// The shared tail of both mid-window tests: `snap` was taken from `k` at
+/// a slice boundary; a kernel restored from it must save back to the same
+/// bytes, and both kernels driven through the identical checked slice
+/// sequence must stay byte-identical (state, stats, cycles) and emit the
+/// identical trace tail.
+fn assert_restore_continues_identically(
+    k: &mut Kernel,
+    snap: &[u8],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let split = split_break();
+    let mut k2 = ksnap::restore(snap, split.engine()).expect("snapshot restores");
+    prop_assert_eq!(
+        &ksnap::save(k),
+        &snap,
+        "live state re-saves to the snapshot"
+    );
+    prop_assert_eq!(
+        &ksnap::save(&k2),
+        &snap,
+        "restored state re-saves to the snapshot"
+    );
+    let seq0 = k.sys.machine.tracer.emitted();
+    prop_assert_eq!(k2.sys.machine.tracer.emitted(), seq0);
+    let (e1, v1) = invariants::run_with_checks(k, 5_000_000, 5_000);
+    let (e2, v2) = invariants::run_with_checks(&mut k2, 5_000_000, 5_000);
+    prop_assert_eq!(e1, e2);
+    prop_assert_eq!(v1, v2);
+    prop_assert_eq!(
+        ksnap::save(k),
+        ksnap::save(&k2),
+        "continuations diverged after restore"
+    );
+    prop_assert_eq!(
+        chaos::tail_jsonl(&k.sys.machine.tracer.snapshot(), seq0),
+        chaos::tail_jsonl(&k2.sys.machine.tracer.snapshot(), seq0),
+        "trace tails diverged after restore"
+    );
+    Ok(())
+}
+
+fn spawn_one(k: &mut Kernel, prog: &BuiltProgram) {
+    k.spawn(&prog.image).expect("spawns");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A snapshot taken while a single-step window is armed
+    /// (`pending_step_addr` set on some process: the §7 I/D-desync window
+    /// between a mixed-page write and its re-fetch) restores and
+    /// continues byte-identically. Stride 1–3 cycles makes slice
+    /// boundaries land on (nearly) every instruction, so the armed window
+    /// is caught mid-flight rather than after it resolves.
+    #[test]
+    fn snapshot_inside_armed_step_window_is_exact(seed in 1u64..32, stride in 1u64..4) {
+        let plan = chaos::plan_by_name("window-flush", seed).expect("plan exists");
+        let mut k = boot_bare(plan);
+        spawn_one(&mut k, &chaos::mixed_patch_program());
+        let snap = snapshot_when(&mut k, stride, 400_000, |k| {
+            k.sys.procs.values().any(|p| p.pending_step_addr.is_some())
+        });
+        let snap = snap.expect("self-patcher must arm a step window");
+        assert_restore_continues_identically(&mut k, &snap)?;
+    }
+
+    /// A snapshot taken between a fork's COW share and its first break
+    /// (two processes alive, zero `cow_breaks`) restores and continues
+    /// byte-identically — shared-frame refcounts and pending COW state
+    /// survive the round-trip.
+    #[test]
+    fn snapshot_between_cow_share_and_break_is_exact(seed in 1u64..32, stride in 1u64..4) {
+        let plan = chaos::plan_by_name("preempt-53", seed).expect("plan exists");
+        let mut k = boot_bare(plan);
+        spawn_one(&mut k, &interference::interference_program());
+        let snap = snapshot_when(&mut k, stride, 400_000, |k| {
+            k.sys.stats.processes_spawned >= 2 && k.sys.stats.cow_breaks == 0
+        });
+        let snap = snap.expect("fork must precede the first COW break");
+        assert_restore_continues_identically(&mut k, &snap)?;
+    }
 }
