@@ -7,6 +7,11 @@
 //! with tracing off and on, and the lot is written to
 //! `BENCH_summary.json` (override the path with `BENCH_SUMMARY_PATH`) so
 //! CI can archive per-commit performance data. Takes no arguments.
+//!
+//! Host-dependent lines (the throughput probes, snapshot MB/s, section
+//! timings and the summary path) go to stderr. Stdout holds only
+//! simulated results, identical at any `RAYON_NUM_THREADS`, and is pinned
+//! by `tests/golden/all_experiments.txt`.
 use sm_bench::summary::BenchSummary;
 use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
@@ -166,7 +171,7 @@ fn main() {
     println!("==== Interpreter throughput =====================================\n");
     for (name, trace) in [("probe-cache-on", false), ("probe-trace-on", true)] {
         let p = summary.section(name, || sm_bench::summary::steps_probe(trace));
-        println!(
+        eprintln!(
             "trace {:>3}: {:.2} Minsn/s ({} insns in {:.1} ms; dc_hits={} dc_misses={} trace_events={} sb_hits={} sb_builds={} sb_invalidations={} sb_slow={})",
             if trace { "on" } else { "off" },
             p.steps_per_sec / 1e6,
@@ -248,7 +253,7 @@ fn main() {
 
     println!("==== Snapshot save/restore throughput ===========================\n");
     let snap = summary.section("probe-snapshot", || sm_bench::summary::snapshot_probe(25));
-    println!(
+    eprintln!(
         "snapshot: {} bytes; save {:.1} MB/s, restore {:.1} MB/s ({} iterations, {:.1}/{:.1} ms)",
         snap.snapshot_bytes,
         snap.save_mb_per_sec,
@@ -263,13 +268,14 @@ fn main() {
     summary.total_wall_ms = t_total.elapsed().as_secs_f64() * 1e3;
     println!("==== Section timings ============================================\n");
     for s in &summary.sections {
-        println!("  {:<18} {:>10.1} ms", s.name, s.wall_ms);
+        eprintln!("  {:<18} {:>10.1} ms", s.name, s.wall_ms);
     }
-    println!("  {:<18} {:>10.1} ms", "total", summary.total_wall_ms);
+    eprintln!("  {:<18} {:>10.1} ms", "total", summary.total_wall_ms);
+    println!();
 
     let path = std::env::var("BENCH_SUMMARY_PATH").unwrap_or_else(|_| "BENCH_summary.json".into());
     match std::fs::write(&path, summary.to_json()) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => eprintln!("failed to write {path}: {e}"),
     }
 }

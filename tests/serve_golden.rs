@@ -1,15 +1,18 @@
 //! Golden end state of the kernel-bound `serve` programs: the httpd-32k
-//! server/client pair and the Unixbench syscall, pipe, context-switch,
-//! spawn, execl and filesystem tests, at small sizes, each under
-//! unprotected, split(break) and shadow+nx+split(break). For every run
-//! the test records the final cycle count, the D-TLB counters and the
-//! SHA-256 of the whole-kernel snapshot, and compares the lot with
-//! `tests/golden/serve_state.txt`.
+//! server/client pair, the Unixbench syscall, pipe, context-switch,
+//! spawn, execl and filesystem tests, at small sizes, and a guest that
+//! signals itself, each under every engine shape [`Protection`] builds.
+//! For every run the test records the final cycle count, the D-TLB
+//! counters and the SHA-256 of the whole-kernel snapshot, and compares
+//! the lot with `tests/golden/serve_state.txt`.
 //!
 //! These programs spend most of their host time in the kernel's
 //! user-memory copies and pipe buffers, so any change to how bytes move
 //! between user and kernel memory that leaks into modelled state — a
 //! cycle, a TLB counter, a frame generation, a byte — shows up here.
+//! The self-signalling guest runs the signal trampoline, the kernel's
+//! one write of code into user memory, through every engine's hook; the
+//! snapshot hash covers each engine's own state.
 //! After a deliberate change to modelled results, regenerate the file
 //! with `BLESS_GOLDEN=1 cargo test --test serve_golden` and review the
 //! diff.
@@ -88,6 +91,39 @@ fn programs() -> Vec<Program> {
             files,
         });
     }
+    let sigself = sm_kernel::userlib::ProgramBuilder::new("/bin/sigself")
+        .code(
+            "_start:
+                mov eax, SYS_SIGNAL
+                mov ebx, 10          ; SIGUSR1
+                mov ecx, handler
+                int 0x80
+                mov eax, SYS_GETPID
+                int 0x80
+                mov ecx, 10
+                mov ebx, eax
+                mov eax, SYS_KILL
+                int 0x80             ; signal self
+                mov eax, [flag]
+                cmp eax, 77
+                jne bad
+                mov ebx, 0
+                call exit
+            bad:
+                mov ebx, 1
+                call exit
+            handler:
+                mov dword [flag], 77
+                ret",
+        )
+        .data("flag: .word 0")
+        .build()
+        .expect("/bin/sigself assembles");
+    out.push(Program {
+        name: "sigself",
+        images: vec![sigself],
+        files: Vec::new(),
+    });
     out
 }
 
@@ -99,6 +135,12 @@ fn state() -> String {
             Protection::Unprotected,
             Protection::SplitMem(ResponseMode::Break),
             Protection::ShadowCombined(ResponseMode::Break),
+            Protection::Nx,
+            Protection::NxResponse(ResponseMode::Observe),
+            Protection::Combined(ResponseMode::Break),
+            Protection::Combined(ResponseMode::Observe),
+            Protection::CombinedFraction(0.25),
+            Protection::ShadowStack(ResponseMode::Break),
         ] {
             let mut k = protection.kernel_on(TlbPreset::default(), KernelConfig::default());
             for (path, bytes) in &prog.files {
@@ -121,6 +163,12 @@ fn state() -> String {
                     "{}: {} under {label}",
                     prog.name,
                     p.name
+                );
+            }
+            if prog.name == "sigself" {
+                assert_eq!(
+                    k.sys.stats.handler_signals, 1,
+                    "sigself under {label}: the handler ran once"
                 );
             }
             let d = k.sys.machine.dtlb.stats;
