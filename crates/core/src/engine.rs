@@ -838,19 +838,11 @@ impl ProtectionEngine for SplitMemEngine {
 
     /// Kernel-emitted code (the signal trampoline) must be visible to
     /// *fetches*, i.e. land on the code frames too — the legitimate-kernel
-    /// counterpart of the mixed-page support (§5.5).
-    fn write_user_code(
-        &mut self,
-        sys: &mut System,
-        pid: Pid,
-        vaddr: u32,
-        bytes: &[u8],
-    ) -> Result<(), PageFaultInfo> {
-        // Data halves (and unsplit pages) via the normal kernel copy path.
-        sys.machine.copy_to_user(vaddr, bytes)?;
-        // Mirror onto the code halves of any split pages touched
-        // (materialising lazy code halves: the trampoline must be
-        // fetchable).
+    /// counterpart of the mixed-page support (§5.5). The kernel's copy
+    /// already reached the data halves (and unsplit pages); mirror it onto
+    /// the code halves of any split pages touched (materialising lazy code
+    /// halves: the trampoline must be fetchable).
+    fn on_code_written(&mut self, sys: &mut System, pid: Pid, vaddr: u32, bytes: &[u8]) {
         for (i, b) in bytes.iter().enumerate() {
             let a = vaddr.wrapping_add(i as u32);
             let vpn = pte::vpn(a);
@@ -870,7 +862,7 @@ impl ProtectionEngine for SplitMemEngine {
                     }
                     Err(_) => {
                         // Cannot mirror onto a code half: degrade the page.
-                        // The copy above already reached the data frame,
+                        // The kernel's copy already reached the data frame,
                         // which is now the page's only frame, so the
                         // trampoline stays fetchable.
                         self.degrade_page(sys, pid, vpn, "mirroring kernel code");
@@ -878,7 +870,6 @@ impl ProtectionEngine for SplitMemEngine {
                 }
             }
         }
-        Ok(())
     }
 
     /// Split tables (sorted by pid, then vpn — canonical bytes) plus the

@@ -51,9 +51,7 @@
 //! [`check`] returns every violation found; [`run_with_checks`] interleaves
 //! checking with execution so a whole workload can be swept.
 
-use crate::combined::CombinedEngine;
 use crate::engine::SplitMemEngine;
-use crate::shadow::ShadowCombinedEngine;
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, RunExit};
 use sm_kernel::process::{Pid, ProcState};
@@ -261,21 +259,6 @@ impl fmt::Display for Violation {
     }
 }
 
-/// The split half of whatever engine the kernel runs, if any.
-fn split_engine(k: &Kernel) -> Option<&SplitMemEngine> {
-    let any = k.engine.as_any();
-    if let Some(e) = any.downcast_ref::<SplitMemEngine>() {
-        return Some(e);
-    }
-    if let Some(c) = any.downcast_ref::<CombinedEngine>() {
-        return Some(&c.split);
-    }
-    if let Some(s) = any.downcast_ref::<ShadowCombinedEngine>() {
-        return Some(&s.inner.split);
-    }
-    None
-}
-
 /// A pristine filler code frame under break mode (invariant #4).
 static ZERO_FILLER: [u8; pte::PAGE_SIZE as usize] = [0x00; pte::PAGE_SIZE as usize];
 /// A pristine filler code frame under the observe and forensics modes.
@@ -377,7 +360,7 @@ pub fn check(k: &Kernel) -> Vec<Violation> {
     // 9. Page-rights consistency. Engine-independent (the NX baseline has
     // no split tables, so any SPLIT bit it leaves behind is an orphan):
     // walk every mapped page of every live process's regions.
-    let split = split_engine(k);
+    let split = k.engine.layer::<SplitMemEngine>();
     for (raw_pid, proc) in &k.sys.procs {
         if proc.state == ProcState::Zombie {
             continue;
@@ -716,11 +699,7 @@ mod tests {
         let prog = demo_program("/bin/nxc");
         let pid = k.spawn(&prog.image).unwrap();
         let vpn = {
-            let engine = k
-                .engine
-                .as_any()
-                .downcast_ref::<SplitMemEngine>()
-                .expect("split engine");
+            let engine = k.engine.layer::<SplitMemEngine>().expect("split engine");
             engine
                 .table(pid)
                 .expect("table")
@@ -787,11 +766,7 @@ mod tests {
         k.sys.current = Some(a);
         assert!(check(&k).is_empty());
         let leaked = {
-            let engine = k
-                .engine
-                .as_any()
-                .downcast_ref::<SplitMemEngine>()
-                .expect("split engine");
+            let engine = k.engine.layer::<SplitMemEngine>().expect("split engine");
             engine
                 .table(b)
                 .expect("table")
@@ -821,15 +796,17 @@ mod tests {
         );
     }
 
-    /// The stacked shadow+nx+split engine keeps its split half inside the
-    /// combined engine it wraps; the checker must see through both layers.
-    /// A mixed code+data segment is split under either combined engine, so
-    /// its page is checked as a split page (not reported as a `SPLIT` bit
-    /// with no table behind it), and an at-rest PTE left user-visible is
-    /// caught under both.
+    /// Every protection's layers are found through any nesting of engine
+    /// stacks, and the checker sees a split layer wherever it sits. A mixed
+    /// code+data segment is split under every configuration with a split
+    /// layer, so its page is checked as a split page (not reported as a
+    /// `SPLIT` bit with no table behind it), and an at-rest PTE left
+    /// user-visible is caught under each of them.
     #[test]
     fn stacked_engine_split_pages_are_checked() {
+        use crate::nx::NxEngine;
         use crate::setup::Protection;
+        use crate::shadow::ShadowStackEngine;
         use sm_kernel::kernel::KernelConfig;
         let prog = ProgramBuilder::new("/bin/jvm-like")
             .mixed_segment()
@@ -845,46 +822,68 @@ mod tests {
             )
             .build()
             .unwrap();
+        let mode = ResponseMode::Break;
         for protection in [
-            Protection::Combined(ResponseMode::Break),
-            Protection::ShadowCombined(ResponseMode::Break),
+            Protection::Unprotected,
+            Protection::SplitMem(mode),
+            Protection::SplitMemCustom(SplitMemConfig::default()),
+            Protection::Nx,
+            Protection::NxResponse(ResponseMode::Observe),
+            Protection::Combined(mode),
+            Protection::CombinedFraction(0.25),
+            Protection::ShadowStack(mode),
+            Protection::ShadowCombined(mode),
         ] {
+            let label = protection.label();
+            // Which engines each configuration runs; a new variant must be
+            // classified here.
+            let (split, nx, shadow) = match protection {
+                Protection::Unprotected => (false, false, false),
+                Protection::SplitMem(_) | Protection::SplitMemCustom(_) => (true, false, false),
+                Protection::Nx | Protection::NxResponse(_) => (false, true, false),
+                Protection::Combined(_) | Protection::CombinedFraction(_) => (true, true, false),
+                Protection::ShadowStack(_) => (false, false, true),
+                Protection::ShadowCombined(_) => (true, true, true),
+            };
             let mut k = protection.kernel(KernelConfig::default());
+            assert_eq!(
+                k.engine.layer::<SplitMemEngine>().is_some(),
+                split,
+                "{label}"
+            );
+            assert_eq!(k.engine.layer::<NxEngine>().is_some(), nx, "{label}");
+            assert_eq!(
+                k.engine.layer::<ShadowStackEngine>().is_some(),
+                shadow,
+                "{label}"
+            );
             let pid = k.spawn(&prog.image).unwrap();
             let base = {
                 let vma = k.sys.proc(pid).aspace.vmas.iter().find(|v| v.executable());
                 pte::page_base(vma.expect("code vma").start)
             };
             let entry = k.sys.pte_of(pid, base);
-            assert!(
+            assert_eq!(
                 pte::has(entry, pte::SPLIT),
-                "{}: the mixed page is split",
-                protection.label()
+                split,
+                "{label}: the mixed page is split exactly when a split layer runs"
             );
-            k.sys.set_pte(pid, base, entry | pte::USER);
-            let violations = check(&k);
-            assert!(
-                violations
-                    .iter()
-                    .any(|v| matches!(v, Violation::AtRestPte { vaddr, .. } if *vaddr == base)),
-                "{}: {violations:?}",
-                protection.label()
-            );
-            k.sys.set_pte(pid, base, entry);
+            if split {
+                k.sys.set_pte(pid, base, entry | pte::USER);
+                let violations = check(&k);
+                assert!(
+                    violations
+                        .iter()
+                        .any(|v| matches!(v, Violation::AtRestPte { vaddr, .. } if *vaddr == base)),
+                    "{label}: {violations:?}"
+                );
+                k.sys.set_pte(pid, base, entry);
+            }
 
             let (exit, violations) = run_with_checks(&mut k, 10_000_000, 500);
-            assert_eq!(exit, RunExit::AllExited, "{}", protection.label());
-            assert!(
-                violations.is_empty(),
-                "{}: {violations:?}",
-                protection.label()
-            );
-            assert_eq!(
-                k.sys.proc(pid).exit_code,
-                Some(42),
-                "{}",
-                protection.label()
-            );
+            assert_eq!(exit, RunExit::AllExited, "{label}");
+            assert!(violations.is_empty(), "{label}: {violations:?}");
+            assert_eq!(k.sys.proc(pid).exit_code, Some(42), "{label}");
         }
     }
 
@@ -898,11 +897,7 @@ mod tests {
             .unwrap();
         let pid = k.spawn(&prog.image).unwrap();
         // Corrupt a filler code frame behind the engine's back.
-        let engine = k
-            .engine
-            .as_any()
-            .downcast_ref::<SplitMemEngine>()
-            .expect("split engine");
+        let engine = k.engine.layer::<SplitMemEngine>().expect("split engine");
         let (_, sp) = engine
             .table(pid)
             .expect("table")

@@ -16,8 +16,13 @@
 //!   shellcode).
 //! * [`nx::NxEngine`] — the execute-disable-bit baseline (DEP/PAGEEXEC),
 //!   including its mixed-page blind spot.
-//! * [`combined::CombinedEngine`] — NX for clean pages + splitting for
-//!   mixed pages or a configurable random fraction (the paper's Fig. 9).
+//! * [`shadow::ShadowStackEngine`] — a shadow stack with coarse CFI, for
+//!   the code-reuse attacks split memory and NX let through.
+//! * [`setup::Protection`] — every configuration the evaluation runs. The
+//!   combined ones are [`EngineStack`](sm_kernel::engine::EngineStack)s:
+//!   NX for clean pages + splitting for mixed pages or a configurable
+//!   random fraction (the paper's Fig. 9), optionally under the shadow
+//!   stack.
 //! * [`verify::Verifier`] — DigSig-style load-time library signing over an
 //!   in-crate SHA-256 ([`sha256`]).
 //! * [`forensics::fingerprint`] — §4.5.3's "shellcode analysis" and
@@ -52,7 +57,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod combined;
 pub mod engine;
 pub mod forensics;
 pub mod invariants;
@@ -64,11 +68,10 @@ pub mod verify;
 
 pub use sm_machine::sha256;
 
-pub use combined::CombinedEngine;
 pub use engine::{SplitMemConfig, SplitMemEngine};
 pub use nx::NxEngine;
 pub use setup::Protection;
-pub use shadow::{ShadowCombinedEngine, ShadowStackEngine, ShadowStats};
+pub use shadow::{ShadowStackEngine, ShadowStats};
 pub use split::{SplitPolicy, SplitStats};
 pub use verify::Verifier;
 
@@ -362,23 +365,13 @@ mod tests {
             .data("x: .word 1")
             .build()
             .unwrap();
-        let mut k = Kernel::new(
-            MachineConfig {
-                nx_enabled: true,
-                ..MachineConfig::default()
-            },
-            KernelConfig::default(),
-            Box::new(CombinedEngine::new(ResponseMode::Break)),
-        );
+        let mut k = Protection::Combined(ResponseMode::Break).kernel(KernelConfig::default());
         let pid = k.spawn(&clean.image).unwrap();
         // Nothing mixed → nothing split, but data pages are NX-marked.
-        let engine = k
-            .engine
-            .as_any()
-            .downcast_ref::<CombinedEngine>()
-            .expect("combined engine");
-        assert!(engine.split.table(pid).is_none_or(|t| t.is_empty()));
-        assert!(engine.nx.stats.pages_marked > 0);
+        let split = k.engine.layer::<SplitMemEngine>().expect("split layer");
+        assert!(split.table(pid).is_none_or(|t| t.is_empty()));
+        let nx = k.engine.layer::<NxEngine>().expect("nx layer");
+        assert!(nx.stats.pages_marked > 0);
         k.run(10_000_000);
         assert_eq!(k.sys.proc(pid).exit_code, Some(0));
     }

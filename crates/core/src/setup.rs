@@ -5,12 +5,11 @@
 //! this module is the single place that maps a [`Protection`] to a machine
 //! config (execute-disable bit on or off) and an engine.
 
-use crate::combined::CombinedEngine;
 use crate::engine::{SplitMemConfig, SplitMemEngine};
 use crate::nx::NxEngine;
-use crate::shadow::{ShadowCombinedEngine, ShadowStackEngine};
+use crate::shadow::ShadowStackEngine;
 use crate::split::SplitPolicy;
-use sm_kernel::engine::{NullEngine, ProtectionEngine};
+use sm_kernel::engine::{EngineStack, NullEngine, ProtectionEngine};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig};
 use sm_machine::{MachineConfig, TlbPreset};
@@ -31,7 +30,9 @@ pub enum Protection {
     /// select the DCR-style honeypot relocation instead of the SIGSEGV
     /// crash (the response a code-page-read fingerprint can unmask).
     NxResponse(ResponseMode),
-    /// Split memory for mixed pages + NX for the rest (combined mode).
+    /// Split memory for mixed pages + NX for the rest (combined mode,
+    /// paper §4.2.1): a split-memory layer, then an NX layer that skips
+    /// the pages the split layer took.
     Combined(ResponseMode),
     /// Combined with a random split fraction (the Fig. 9 sweep).
     CombinedFraction(f64),
@@ -39,7 +40,8 @@ pub enum Protection {
     /// (ret2libc/ROP) but not injection.
     ShadowStack(ResponseMode),
     /// The full defense-in-depth stack: shadow-stack/CFI over combined
-    /// split-memory + execute-disable.
+    /// split-memory + execute-disable, with one response policy across
+    /// all three detectors.
     ShadowCombined(ResponseMode),
 }
 
@@ -71,7 +73,10 @@ impl Protection {
         )
     }
 
-    /// Build the engine for this configuration.
+    /// Build the engine for this configuration. Single-engine
+    /// configurations are bare engines; the combined ones are
+    /// [`EngineStack`]s, found layer by layer with
+    /// `<dyn ProtectionEngine>::layer`.
     pub fn engine(&self) -> Box<dyn ProtectionEngine> {
         match self {
             Protection::Unprotected => Box::new(NullEngine),
@@ -79,15 +84,15 @@ impl Protection {
             Protection::SplitMemCustom(cfg) => Box::new(SplitMemEngine::new(cfg.clone())),
             Protection::Nx => Box::new(NxEngine::new()),
             Protection::NxResponse(mode) => Box::new(NxEngine::with_response(*mode)),
-            Protection::Combined(mode) => Box::new(CombinedEngine::new(*mode)),
-            Protection::ShadowStack(mode) => Box::new(ShadowStackEngine::new(*mode)),
-            Protection::ShadowCombined(mode) => Box::new(ShadowCombinedEngine::new(*mode)),
+            Protection::Combined(mode) => nx_over_split(SplitPolicy::MixedOnly, *mode),
             Protection::CombinedFraction(f) => {
-                Box::new(CombinedEngine::with_config(SplitMemConfig {
-                    policy: SplitPolicy::Fraction(*f),
-                    ..SplitMemConfig::default()
-                }))
+                nx_over_split(SplitPolicy::Fraction(*f), ResponseMode::Break)
             }
+            Protection::ShadowStack(mode) => Box::new(ShadowStackEngine::new(*mode)),
+            Protection::ShadowCombined(mode) => Box::new(EngineStack::new(vec![
+                Box::new(ShadowStackEngine::new(*mode)),
+                nx_over_split(SplitPolicy::MixedOnly, *mode),
+            ])),
         }
     }
 
@@ -148,6 +153,21 @@ impl Protection {
             .insert(key, sm_kernel::snapshot::save(&k));
         k
     }
+}
+
+/// Combined mode: a split-memory layer splitting the pages `policy`
+/// picks, with `response`, then an execute-disable layer for the rest. NX
+/// keeps its DEP-style break response.
+fn nx_over_split(policy: SplitPolicy, response: ResponseMode) -> Box<dyn ProtectionEngine> {
+    let split = SplitMemEngine::new(SplitMemConfig {
+        policy,
+        response,
+        ..SplitMemConfig::default()
+    });
+    Box::new(EngineStack::new(vec![
+        Box::new(split),
+        Box::new(NxEngine::new()),
+    ]))
 }
 
 /// Warm-start cache key for [`Protection::kernel_warm_on`].

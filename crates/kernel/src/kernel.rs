@@ -1070,8 +1070,8 @@ impl Kernel {
 
     /// Build the user-space signal frame: save context kernel-side, write
     /// the sigreturn trampoline onto the stack (code on a data page — the
-    /// paper's mixed-page case, installed via the engine's
-    /// `write_user_code` hook), point the return address at it, and enter
+    /// paper's mixed-page case, announced to the engine through its
+    /// `on_code_written` hook), point the return address at it, and enter
     /// the handler with the signal number in `ebx`.
     fn push_signal_frame(&mut self, pid: Pid, sig: u8, handler: u32) {
         let regs = self.sys.machine.cpu.regs;
@@ -1083,15 +1083,13 @@ impl Kernel {
         for addr in [tramp_addr - 4, tramp_addr + 7] {
             let _ = self.touch_user_page(pid, addr);
         }
-        if self
-            .engine
-            .write_user_code(&mut self.sys, pid, tramp_addr, &tramp)
-            .is_err()
-        {
+        if self.sys.machine.copy_to_user(tramp_addr, &tramp).is_err() {
             // Unmappable stack: the process is beyond saving.
             self.raise_signal(pid, signal::SIGKILL);
             return;
         }
+        self.engine
+            .on_code_written(&mut self.sys, pid, tramp_addr, &tramp);
         let ret_slot = tramp_addr - 4;
         if self
             .sys

@@ -5,7 +5,7 @@
 //! (paper §2 cites exactly this Linux behaviour as a page that holds both
 //! code and data). Under the split-memory engine the trampoline must be
 //! installed on both the code and data frames of the split stack page —
-//! see the engine's `write_user_code` hook.
+//! see the engine's `on_code_written` hook.
 
 use sm_machine::cpu::Regs;
 

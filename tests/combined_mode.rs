@@ -1,7 +1,6 @@
 //! Combined NX + split-memory mode (paper §4.2.1, §6.2): NX covers clean
 //! pages, splitting covers what NX cannot.
 
-use sm_core::combined::CombinedEngine;
 use sm_core::engine::SplitMemEngine;
 use sm_core::nx::NxEngine;
 use sm_core::setup::Protection;
@@ -12,14 +11,7 @@ use sm_kernel::userlib::ProgramBuilder;
 use sm_machine::MachineConfig;
 
 fn combined_kernel() -> Kernel {
-    Kernel::new(
-        MachineConfig {
-            nx_enabled: true,
-            ..MachineConfig::default()
-        },
-        KernelConfig::default(),
-        Box::new(CombinedEngine::new(ResponseMode::Break)),
-    )
+    Protection::Combined(ResponseMode::Break).kernel(KernelConfig::default())
 }
 
 #[test]
@@ -31,9 +23,9 @@ fn clean_binaries_get_nx_only() {
         .unwrap();
     let mut k = combined_kernel();
     let pid = k.spawn(&prog.image).unwrap();
-    let engine = k.engine.as_any().downcast_ref::<CombinedEngine>().unwrap();
-    assert!(engine.split.table(pid).is_none_or(|t| t.is_empty()));
-    assert!(engine.nx.stats.pages_marked > 0);
+    let split = k.engine.layer::<SplitMemEngine>().unwrap();
+    assert!(split.table(pid).is_none_or(|t| t.is_empty()));
+    assert!(k.engine.layer::<NxEngine>().unwrap().stats.pages_marked > 0);
     k.run(10_000_000);
     assert_eq!(k.sys.proc(pid).exit_code, Some(0));
 }
@@ -47,8 +39,8 @@ fn mixed_binaries_get_their_mixed_pages_split() {
         .unwrap();
     let mut k = combined_kernel();
     let pid = k.spawn(&prog.image).unwrap();
-    let engine = k.engine.as_any().downcast_ref::<CombinedEngine>().unwrap();
-    let split_pages = engine.split.table(pid).map_or(0, |t| t.len());
+    let split = k.engine.layer::<SplitMemEngine>().unwrap();
+    let split_pages = split.table(pid).map_or(0, |t| t.len());
     assert!(split_pages > 0, "mixed pages must be split");
     k.run(10_000_000);
     assert_eq!(k.sys.proc(pid).exit_code, Some(0));
@@ -110,8 +102,14 @@ fn combined_mode_stops_injection_on_both_page_kinds() {
 #[test]
 fn engines_report_their_names() {
     assert_eq!(
-        CombinedEngine::new(ResponseMode::Break).name(),
+        Protection::Combined(ResponseMode::Break).engine().name(),
         "split-memory+execute-disable"
+    );
+    assert_eq!(
+        Protection::ShadowCombined(ResponseMode::Break)
+            .engine()
+            .name(),
+        "shadow-stack+split-memory+execute-disable"
     );
     assert_eq!(NxEngine::new().name(), "execute-disable");
     assert_eq!(
@@ -145,8 +143,8 @@ fn fraction_policy_splits_roughly_the_requested_share() {
             Protection::CombinedFraction(0.5).engine(),
         );
         let pid = k.spawn(&prog.image).unwrap();
-        let engine = k.engine.as_any().downcast_ref::<CombinedEngine>().unwrap();
-        split_pages += engine.split.table(pid).map_or(0, |t| t.len());
+        let split = k.engine.layer::<SplitMemEngine>().unwrap();
+        split_pages += split.table(pid).map_or(0, |t| t.len());
         // ~17 data pages + 1 code page + 1 stack page eagerly mapped.
         total_pages += 19;
     }

@@ -150,10 +150,8 @@ fn mixed_only_policy_limits_response_modes_to_mixed_pages() {
     // engine in observe mode, an attack on an NX-covered (non-mixed) page
     // is *killed* by the execute-disable bit — it cannot be observed —
     // while the same attack on a mixed page is observed and proceeds.
-    use sm_core::combined::CombinedEngine;
-    use sm_kernel::kernel::{Kernel, KernelConfig};
+    use sm_kernel::kernel::KernelConfig;
     use sm_kernel::userlib::ProgramBuilder;
-    use sm_machine::MachineConfig;
 
     let attack_code = "_start:
             mov edi, buf
@@ -175,14 +173,7 @@ fn mixed_only_policy_limits_response_modes_to_mixed_pages() {
         .build()
         .unwrap();
     let run = |prog: &sm_kernel::userlib::BuiltProgram| {
-        let mut k = Kernel::new(
-            MachineConfig {
-                nx_enabled: true,
-                ..MachineConfig::default()
-            },
-            KernelConfig::default(),
-            Box::new(CombinedEngine::new(ResponseMode::Observe)),
-        );
+        let mut k = Protection::Combined(ResponseMode::Observe).kernel(KernelConfig::default());
         let pid = k.spawn(&prog.image).unwrap();
         k.run(20_000_000);
         k.sys.procs.get(&pid.0).and_then(|p| p.exit_code)
