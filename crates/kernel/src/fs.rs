@@ -68,10 +68,14 @@ impl RamFs {
     /// Write `data` into `path` at `offset` — or at EOF when `append` —
     /// growing (and zero-filling) the file as needed. The file is created
     /// if missing. Returns the offset just past the written bytes. The
-    /// caller keeps that offset within [`MAX_FILE_BYTES`].
+    /// caller keeps that offset within [`MAX_FILE_BYTES`]. An empty write
+    /// leaves the file's contents alone, even past EOF (POSIX).
     pub fn write_at(&mut self, path: &str, offset: usize, data: &[u8], append: bool) -> usize {
         let file = self.files.entry(path.to_string()).or_default();
         let at = if append { file.len() } else { offset };
+        if data.is_empty() {
+            return at;
+        }
         if file.len() < at + data.len() {
             file.resize(at + data.len(), 0);
         }
@@ -282,6 +286,16 @@ mod tests {
         assert_eq!(fs.file("/y").unwrap(), &vec![b'Z', 0, b'a', b'b']);
         assert_eq!(fs.write_at("/y", 0, b"!", true), 5, "append ignores offset");
         assert_eq!(fs.file("/y").unwrap(), &vec![b'Z', 0, b'a', b'b', b'!']);
+    }
+
+    #[test]
+    fn empty_write_past_eof_leaves_the_file_alone() {
+        let mut fs = RamFs::new();
+        fs.install("/z", b"abc".to_vec());
+        assert_eq!(fs.write_at("/z", 1 << 20, b"", false), 1 << 20);
+        assert_eq!(fs.file("/z").unwrap().len(), 3, "no zero-fill");
+        assert_eq!(fs.write_at("/z", 1 << 20, b"", true), 3);
+        assert_eq!(fs.file("/z").unwrap(), b"abc");
     }
 
     #[test]

@@ -177,6 +177,57 @@ fn writes_stop_at_the_file_size_limit() {
     assert_eq!(&file[file.len() - 2..], b"ab");
 }
 
+/// A zero-length write after seeking past EOF returns 0 and leaves the
+/// file as it was (POSIX): no zero-fill up to the offset.
+#[test]
+fn empty_write_past_eof_does_not_grow_the_file() {
+    let prog = ProgramBuilder::new("/bin/empty")
+        .code(
+            "_start:
+                mov eax, SYS_OPEN
+                mov ebx, path
+                mov ecx, 0x241
+                int 0x80
+                mov [fd], eax
+                mov eax, SYS_WRITE
+                mov ebx, [fd]
+                mov ecx, content
+                mov edx, 3
+                int 0x80
+                ; 1 MiB, SEEK_SET
+                mov eax, SYS_LSEEK
+                mov ebx, [fd]
+                mov ecx, 0x100000
+                mov edx, 0
+                int 0x80
+                mov eax, SYS_WRITE
+                mov ebx, [fd]
+                mov ecx, content
+                mov edx, 0
+                int 0x80
+                cmp eax, 0
+                jne bad
+                mov ebx, 0
+                call exit
+            bad:
+                mov ebx, 1
+                call exit",
+        )
+        .data(
+            "path: .asciz \"/tmp/empty\"
+             fd: .word 0
+             content: .ascii \"abc\"",
+        )
+        .build()
+        .unwrap();
+    let mut k = kernel();
+    let (_, code) = run_to_exit(&mut k, &prog);
+    assert_eq!(code, Some(0));
+    let file = k.sys.fs.file("/tmp/empty").unwrap();
+    assert_eq!(file.len(), 3, "the empty write grew the file");
+    assert_eq!(file.as_slice(), b"abc");
+}
+
 #[test]
 fn bad_fds_return_ebadf() {
     let prog = ProgramBuilder::new("/bin/badfd")
