@@ -8,10 +8,10 @@
 //! the resulting report is bit-identical across platforms and thread
 //! counts (merging shards is element-wise addition, which commutes).
 //!
-//! Bucket layout (HDR-style, base-2): values below [`LINEAR_MAX`] get an
-//! exact bucket each; every power-of-two octave above that is split into
-//! [`SUBBUCKETS`] equal sub-buckets, bounding the relative quantization
-//! error of any reported percentile by `1/SUBBUCKETS` (~3%).
+//! Bucket layout (HDR-style, base-2): values below `LINEAR_MAX` (32) get
+//! an exact bucket each; every power-of-two octave above that is split
+//! into `SUBBUCKETS` (32) equal sub-buckets, bounding the relative
+//! quantization error of any reported percentile by `1/SUBBUCKETS` (~3%).
 
 /// Values below this are counted exactly (one bucket per value).
 const LINEAR_MAX: u64 = 32;
