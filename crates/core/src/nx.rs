@@ -87,9 +87,10 @@ impl NxEngine {
     }
 
     /// Mark every present, non-executable page in `[start, end)` NX,
-    /// skipping split pages: a split-memory layer stacked beneath guards
-    /// those (paper §4.2.1), and its `SPLIT` PTE bit marks exactly the
-    /// pages in its split tables (invariants #2 and #9).
+    /// skipping split pages: the split-memory layer that runs before NX in
+    /// a combined stack guards those (paper §4.2.1), and its `SPLIT` PTE
+    /// bit marks exactly the pages in its split tables (invariants #2 and
+    /// #9).
     fn mark_range(&mut self, sys: &mut System, pid: Pid, start: u32, end: u32) {
         Self::assert_hw(sys);
         let mut addr = pte::page_base(start);

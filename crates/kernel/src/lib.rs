@@ -12,8 +12,9 @@
 //! hooks correspond one-to-one with the kernel patch points the paper
 //! enumerates in §5 (ELF loader, page-fault handler, debug-interrupt
 //! handler, memory management, signal handling). The kernel itself ships
-//! only the unprotected [`engine::NullEngine`]; the split-memory engine and
-//! the execute-disable baseline live in `sm-core`.
+//! the unprotected [`engine::NullEngine`] and [`engine::EngineStack`],
+//! which runs several engines as ordered layers of one; the split-memory,
+//! execute-disable and shadow-stack engines live in `sm-core`.
 //!
 //! # Example
 //!
