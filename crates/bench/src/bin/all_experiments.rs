@@ -6,7 +6,9 @@
 //! Every section is wall-clock timed, raw interpreter throughput is probed
 //! with tracing off and on, and the lot is written to
 //! `BENCH_summary.json` (override the path with `BENCH_SUMMARY_PATH`) so
-//! CI can archive per-commit performance data. Takes no arguments.
+//! CI can archive per-commit performance data. Takes no arguments. A
+//! summary path that cannot be written fails before the first section,
+//! with exit status 1.
 //!
 //! Host-dependent lines (the throughput probes, snapshot MB/s, section
 //! timings and the summary path) go to stderr. Stdout holds only
@@ -20,6 +22,8 @@ use std::time::Instant;
 
 fn main() {
     sm_bench::cli::checked_args("all_experiments", "usage: all_experiments", &[], &[]);
+    let path = std::env::var("BENCH_SUMMARY_PATH").unwrap_or_else(|_| "BENCH_summary.json".into());
+    sm_bench::cli::check_writable("all_experiments", &path);
     let mut summary = BenchSummary::default();
     let t_total = Instant::now();
 
@@ -273,9 +277,6 @@ fn main() {
     eprintln!("  {:<18} {:>10.1} ms", "total", summary.total_wall_ms);
     println!();
 
-    let path = std::env::var("BENCH_SUMMARY_PATH").unwrap_or_else(|_| "BENCH_summary.json".into());
-    match std::fs::write(&path, summary.to_json()) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    sm_bench::cli::write_artifact("all_experiments", &path, summary.to_json().as_bytes());
+    eprintln!("wrote {path}");
 }

@@ -27,6 +27,7 @@
 
 use sm_attacks::wilander::{self, InjectLocation, Technique};
 use sm_bench::chaos::{self, Scenario};
+use sm_bench::cli;
 use sm_bench::interference;
 use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
@@ -96,21 +97,12 @@ fn usage_error(msg: &str) -> i32 {
     2
 }
 
-/// A fatal runtime error (an I/O refusal, a missing internal table
-/// entry): diagnostic plus nonzero exit, never a panic — this binary's
-/// failure modes are part of its CLI contract.
+/// A fatal runtime error (a missing internal table entry; I/O refusals go
+/// through [`cli::write_artifact`]): diagnostic plus nonzero exit, never a
+/// panic — this binary's failure modes are part of its CLI contract.
 fn fatal(msg: &str) -> ! {
     eprintln!("chaos: {msg}");
     std::process::exit(1);
-}
-
-/// Write an artifact file; the destination comes from the command line or
-/// the working directory, so refusal is a user-environment error, not a
-/// bug.
-fn write_artifact(path: &str, bytes: &[u8]) {
-    if let Err(e) = std::fs::write(path, bytes) {
-        fatal(&format!("cannot write {path}: {e}"));
-    }
 }
 
 /// Parse the flag's value argument, rejecting a missing value or another
@@ -250,7 +242,7 @@ fn fleet_scenarios() -> i32 {
 }
 
 fn main() {
-    let args = sm_bench::cli::checked_args(
+    let args = cli::checked_args(
         "chaos",
         USAGE,
         &["--quick", "--trace", "--fleet"],
@@ -585,7 +577,7 @@ fn write_trace_sample(scenarios: &[Scenario], split: &Protection) {
     };
     let (_, jsonl) =
         chaos::run_scenario_traced_on(scenario, split, TlbPreset::default(), plan, mask::ALL);
-    write_artifact("chaos_trace_sample.jsonl", jsonl.as_bytes());
+    cli::write_artifact("chaos", "chaos_trace_sample.jsonl", jsonl.as_bytes());
     println!(
         "\ntrace sample: {} events ({}) -> chaos_trace_sample.jsonl",
         jsonl.lines().count(),
@@ -637,7 +629,7 @@ fn dump_failed_traces(by_name: &HashMap<String, Scenario>, failed: &[FailedCombo
         ) {
             Ok((cp, dump)) => {
                 let path = format!("chaos_dump_{i}.smcdump");
-                write_artifact(&path, &dump);
+                cli::write_artifact("chaos", &path, &dump);
                 println!(
                     "  replay dump: checkpoint @ slice {} ({} checkpoints) -> {path}",
                     cp.snapshot_slice, cp.checkpoints_taken
@@ -646,7 +638,7 @@ fn dump_failed_traces(by_name: &HashMap<String, Scenario>, failed: &[FailedCombo
             Err(e) => println!("  (no replay dump: {e})"),
         }
     }
-    write_artifact("chaos_trace.jsonl", out.as_bytes());
+    cli::write_artifact("chaos", "chaos_trace.jsonl", out.as_bytes());
     println!("failure event tails -> chaos_trace.jsonl");
 }
 
@@ -682,7 +674,7 @@ fn dump_demo(path: &str) -> i32 {
         },
     ) {
         Ok((cp, dump)) => {
-            write_artifact(path, &dump);
+            cli::write_artifact("chaos", path, &dump);
             println!(
                 "demo dump: {} -> {} ({} checkpoints, {} snapshot faults injected+detected, \
                  checkpoint @ slice {}, {} bytes) -> {path}",

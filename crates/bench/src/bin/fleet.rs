@@ -29,7 +29,8 @@
 //! - `--check-invariants` run the invariant checker every driver window
 //! - `--per-tenant` also print the per-tenant lines
 //! - `--serial` use the single-threaded reference runner
-//! - `--report PATH` write the full report (fleet + per-tenant) to a file
+//! - `--report PATH` write the full report (fleet + per-tenant) to a file;
+//!   a path that cannot be written fails before the run, with exit 1
 //! - `--quick` small smoke population (60 tenants, CI-sized)
 //!
 //! Exits non-zero on invariant violations, trace-order violations, or any
@@ -109,6 +110,10 @@ fn main() {
     if has("--pentium3") {
         cfg.tlb = TlbPreset::pentium3();
     }
+    let report = flag_value(&args, "--report");
+    if let Some(path) = report {
+        sm_bench::cli::check_writable("fleet", path);
+    }
 
     let result = if has("--serial") {
         fleet::run_serial(&cfg)
@@ -120,12 +125,9 @@ fn main() {
     if has("--per-tenant") {
         print!("{}", result.render_tenants());
     }
-    if let Some(path) = flag_value(&args, "--report") {
+    if let Some(path) = report {
         let full = format!("{}{}", result.render(), result.render_tenants());
-        if let Err(e) = std::fs::write(path, full) {
-            eprintln!("fleet: failed to write {path}: {e}");
-            std::process::exit(2);
-        }
+        sm_bench::cli::write_artifact("fleet", path, full.as_bytes());
     }
 
     let mut failed = false;

@@ -197,23 +197,14 @@ impl BenchSummary {
                 format!(
                     "    {{\"trace\": {}, \"trace_events\": {}, \
                      \"instructions\": {}, \"wall_ms\": {:.3}, \
-                     \"steps_per_sec\": {:.0}, \"dcache_hits\": {}, \"dcache_misses\": {}, \
-                     \"dcache_invalidations\": {}, \"superblock_hits\": {}, \
-                     \"superblock_builds\": {}, \"superblock_invalidations\": {}, \
-                     \"superblock_bailouts\": {}, \"superblock_slow_steps\": {}}}",
+                     \"steps_per_sec\": {:.0}{}{}}}",
                     p.trace,
                     p.trace_events,
                     p.instructions,
                     p.wall_ms,
                     p.steps_per_sec,
-                    p.dcache.hits,
-                    p.dcache.misses,
-                    p.dcache.invalidations,
-                    p.sblocks.hits,
-                    p.sblocks.builds,
-                    p.sblocks.invalidations,
-                    p.sblocks.bailouts,
-                    p.sblocks.slow_steps
+                    json_counters("dcache", p.dcache.iter()),
+                    json_counters("superblock", p.sblocks.iter())
                 )
             })
             .collect();
@@ -309,6 +300,13 @@ impl BenchSummary {
             matrix
         )
     }
+}
+
+/// `, "<prefix>_<name>": <value>` for each counter, in declaration order.
+fn json_counters(prefix: &str, counters: impl Iterator<Item = (&'static str, u64)>) -> String {
+    counters
+        .map(|(name, v)| format!(", \"{prefix}_{name}\": {v}"))
+        .collect()
 }
 
 /// Measure raw interpreter throughput on a tight user-mode loop under

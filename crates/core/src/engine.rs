@@ -890,19 +890,7 @@ impl ProtectionEngine for SplitMemEngine {
                 w.bool(sp.filler);
             }
         }
-        for v in [
-            self.stats.pages_split,
-            self.stats.data_reloads,
-            self.stats.code_reloads,
-            self.stats.data_reload_fallbacks,
-            self.stats.detections,
-            self.stats.pages_locked,
-            self.stats.cow_splits,
-            self.stats.lazy_materializations,
-            self.stats.oom_degraded,
-        ] {
-            w.u64(v);
-        }
+        self.stats.write(&mut w);
         w.into_bytes()
     }
 
@@ -926,17 +914,7 @@ impl ProtectionEngine for SplitMemEngine {
                 return Err("duplicate split table pid".into());
             }
         }
-        let stats = SplitStats {
-            pages_split: r.u64().map_err(s)?,
-            data_reloads: r.u64().map_err(s)?,
-            code_reloads: r.u64().map_err(s)?,
-            data_reload_fallbacks: r.u64().map_err(s)?,
-            detections: r.u64().map_err(s)?,
-            pages_locked: r.u64().map_err(s)?,
-            cow_splits: r.u64().map_err(s)?,
-            lazy_materializations: r.u64().map_err(s)?,
-            oom_degraded: r.u64().map_err(s)?,
-        };
+        let stats = SplitStats::read(&mut r).map_err(s)?;
         if !r.is_done() {
             return Err("trailing bytes in split-memory engine state".into());
         }

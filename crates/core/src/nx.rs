@@ -27,17 +27,18 @@ use sm_machine::pte::{self, PAGE_SIZE};
 /// 0xC000_0000), so a decoy never collides with a real mapping.
 const HONEYPOT_BASE: u32 = 0xA000_0000;
 
-/// Counters for the NX engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NxStats {
-    /// Pages marked non-executable.
-    pub pages_marked: u64,
-    /// Blocked instruction fetches (attack detections).
-    pub detections: u64,
-    /// Pages whose NX was cleared for a kernel-written trampoline.
-    pub trampoline_exemptions: u64,
-    /// Decoy pages installed by observe-mode honeypot relocations.
-    pub honeypot_pages: u64,
+sm_machine::counters! {
+    /// Counters for the NX engine.
+    pub struct NxStats {
+        /// Pages marked non-executable.
+        pub pages_marked: u64,
+        /// Blocked instruction fetches (attack detections).
+        pub detections: u64,
+        /// Pages whose NX was cleared for a kernel-written trampoline.
+        pub trampoline_exemptions: u64,
+        /// Decoy pages installed by observe-mode honeypot relocations.
+        pub honeypot_pages: u64,
+    }
 }
 
 /// The execute-disable baseline.
@@ -228,22 +229,14 @@ impl ProtectionEngine for NxEngine {
 
     fn snapshot_state(&self) -> Vec<u8> {
         let mut w = sm_machine::snapshot::Writer::new();
-        w.u64(self.stats.pages_marked);
-        w.u64(self.stats.detections);
-        w.u64(self.stats.trampoline_exemptions);
-        w.u64(self.stats.honeypot_pages);
+        self.stats.write(&mut w);
         w.into_bytes()
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let s = |e: sm_machine::snapshot::SnapshotError| e.to_string();
         let mut r = sm_machine::snapshot::Reader::new(bytes);
-        let stats = NxStats {
-            pages_marked: r.u64().map_err(s)?,
-            detections: r.u64().map_err(s)?,
-            trampoline_exemptions: r.u64().map_err(s)?,
-            honeypot_pages: r.u64().map_err(s)?,
-        };
+        let stats = NxStats::read(&mut r).map_err(s)?;
         if !r.is_done() {
             return Err("trailing bytes in execute-disable engine state".into());
         }

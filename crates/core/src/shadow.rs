@@ -40,24 +40,25 @@ use std::collections::BTreeMap;
 /// region).
 const MAX_SHADOW_DEPTH: usize = 4096;
 
-/// Counters for the shadow-stack/CFI engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShadowStats {
-    /// `call` transfers whose return address was pushed.
-    pub calls_tracked: u64,
-    /// `ret` transfers checked against the shadow stack.
-    pub rets_checked: u64,
-    /// Indirect `call`/`jmp` targets checked against the code map.
-    pub indirects_checked: u64,
-    /// `ret` to an address present deeper in the shadow stack: frames
-    /// skipped by the pop-until-found rule (longjmp-style unwinding).
-    pub frames_unwound: u64,
-    /// `ret` to an address found nowhere in the shadow stack (attack).
-    pub ret_mismatches: u64,
-    /// Indirect transfers into non-code memory (attack).
-    pub cfi_violations: u64,
-    /// Trampoline addresses shadow-pushed for signal delivery.
-    pub trampoline_pushes: u64,
+sm_machine::counters! {
+    /// Counters for the shadow-stack/CFI engine.
+    pub struct ShadowStats {
+        /// `call` transfers whose return address was pushed.
+        pub calls_tracked: u64,
+        /// `ret` transfers checked against the shadow stack.
+        pub rets_checked: u64,
+        /// Indirect `call`/`jmp` targets checked against the code map.
+        pub indirects_checked: u64,
+        /// `ret` to an address present deeper in the shadow stack: frames
+        /// skipped by the pop-until-found rule (longjmp-style unwinding).
+        pub frames_unwound: u64,
+        /// `ret` to an address found nowhere in the shadow stack (attack).
+        pub ret_mismatches: u64,
+        /// Indirect transfers into non-code memory (attack).
+        pub cfi_violations: u64,
+        /// Trampoline addresses shadow-pushed for signal delivery.
+        pub trampoline_pushes: u64,
+    }
 }
 
 impl ShadowStats {
@@ -253,17 +254,7 @@ impl ProtectionEngine for ShadowStackEngine {
                 w.u32(e);
             }
         }
-        for v in [
-            self.stats.calls_tracked,
-            self.stats.rets_checked,
-            self.stats.indirects_checked,
-            self.stats.frames_unwound,
-            self.stats.ret_mismatches,
-            self.stats.cfi_violations,
-            self.stats.trampoline_pushes,
-        ] {
-            w.u64(v);
-        }
+        self.stats.write(&mut w);
         w.into_bytes()
     }
 
@@ -298,15 +289,7 @@ impl ProtectionEngine for ShadowStackEngine {
                 return Err("duplicate shadow range pid".into());
             }
         }
-        let stats = ShadowStats {
-            calls_tracked: r.u64().map_err(s)?,
-            rets_checked: r.u64().map_err(s)?,
-            indirects_checked: r.u64().map_err(s)?,
-            frames_unwound: r.u64().map_err(s)?,
-            ret_mismatches: r.u64().map_err(s)?,
-            cfi_violations: r.u64().map_err(s)?,
-            trampoline_pushes: r.u64().map_err(s)?,
-        };
+        let stats = ShadowStats::read(&mut r).map_err(s)?;
         if !r.is_done() {
             return Err("trailing bytes in shadow-stack engine state".into());
         }

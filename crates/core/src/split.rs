@@ -160,30 +160,31 @@ pub fn page_is_executable(sys: &System, pid: Pid, page_base: u32) -> bool {
         .any(|v| v.overlaps(page_base, end) && v.executable())
 }
 
-/// Counters for the split-memory engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SplitStats {
-    /// Pages split.
-    pub pages_split: u64,
-    /// Data-TLB reloads (Algorithm 1 lines 7–11).
-    pub data_reloads: u64,
-    /// Instruction-TLB reloads via single-step (Algorithm 1 lines 2–5).
-    pub code_reloads: u64,
-    /// Data reloads that needed the single-step fallback (paper §5.2
-    /// footnote 1).
-    pub data_reload_fallbacks: u64,
-    /// Injected-code executions detected.
-    pub detections: u64,
-    /// Pages locked to their data frame by observe mode.
-    pub pages_locked: u64,
-    /// Split pages duplicated by copy-on-write.
-    pub cow_splits: u64,
-    /// Code frames materialised on first fetch under the lazy policy
-    /// (paper §5.1's envisioned demand-paging optimisation).
-    pub lazy_materializations: u64,
-    /// Pages whose split protection was degraded (unsplit, NX-only where
-    /// possible) because a code-frame allocation hit out-of-memory.
-    pub oom_degraded: u64,
+sm_machine::counters! {
+    /// Counters for the split-memory engine.
+    pub struct SplitStats {
+        /// Pages split.
+        pub pages_split: u64,
+        /// Data-TLB reloads (Algorithm 1 lines 7–11).
+        pub data_reloads: u64,
+        /// Instruction-TLB reloads via single-step (Algorithm 1 lines 2–5).
+        pub code_reloads: u64,
+        /// Data reloads that needed the single-step fallback (paper §5.2
+        /// footnote 1).
+        pub data_reload_fallbacks: u64,
+        /// Injected-code executions detected.
+        pub detections: u64,
+        /// Pages locked to their data frame by observe mode.
+        pub pages_locked: u64,
+        /// Split pages duplicated by copy-on-write.
+        pub cow_splits: u64,
+        /// Code frames materialised on first fetch under the lazy policy
+        /// (paper §5.1's envisioned demand-paging optimisation).
+        pub lazy_materializations: u64,
+        /// Pages whose split protection was degraded (unsplit, NX-only where
+        /// possible) because a code-frame allocation hit out-of-memory.
+        pub oom_degraded: u64,
+    }
 }
 
 #[cfg(test)]

@@ -872,35 +872,13 @@ fn load_rand(
 
 fn save_kstats(s: &KernelStats) -> Vec<u8> {
     let mut w = Writer::new();
-    for v in [
-        s.context_switches,
-        s.demand_pages,
-        s.cow_breaks,
-        s.syscalls,
-        s.handler_signals,
-        s.fatal_signals,
-        s.processes_spawned,
-        s.libraries_loaded,
-        s.soft_tlb_fills,
-    ] {
-        w.u64(v);
-    }
+    s.write(&mut w);
     w.into_bytes()
 }
 
 fn load_kstats(bytes: &[u8]) -> Result<KernelStats, SnapshotError> {
     let mut r = Reader::new(bytes);
-    let s = KernelStats {
-        context_switches: r.u64()?,
-        demand_pages: r.u64()?,
-        cow_breaks: r.u64()?,
-        syscalls: r.u64()?,
-        handler_signals: r.u64()?,
-        fatal_signals: r.u64()?,
-        processes_spawned: r.u64()?,
-        libraries_loaded: r.u64()?,
-        soft_tlb_fills: r.u64()?,
-    };
+    let s = KernelStats::read(&mut r)?;
     done(&r)?;
     Ok(s)
 }

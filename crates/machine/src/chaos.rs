@@ -125,31 +125,32 @@ pub struct StepFaults {
     pub signal: bool,
 }
 
-/// Counters for injected faults (replay diagnostics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChaosStats {
-    /// Steps observed.
-    pub steps: u64,
-    /// Spurious whole-TLB flushes (periodic + in-window).
-    pub flushes: u64,
-    /// Periodic eviction rounds.
-    pub evictions: u64,
-    /// Forced preemptions.
-    pub preemptions: u64,
-    /// Flushes fired specifically inside the single-step window.
-    pub window_flushes: u64,
-    /// Signals fired inside the single-step window.
-    pub window_signals: u64,
-    /// Filesystem operations observed.
-    pub fs_ops: u64,
-    /// Injected filesystem I/O errors.
-    pub fs_errors: u64,
-    /// Injected short filesystem transfers.
-    pub fs_shorts: u64,
-    /// Snapshot save operations observed.
-    pub snap_ops: u64,
-    /// Injected snapshot corruptions.
-    pub snap_faults: u64,
+crate::counters! {
+    /// Counters for injected faults (replay diagnostics).
+    pub struct ChaosStats {
+        /// Steps observed.
+        pub steps: u64,
+        /// Spurious whole-TLB flushes (periodic + in-window).
+        pub flushes: u64,
+        /// Periodic eviction rounds.
+        pub evictions: u64,
+        /// Forced preemptions.
+        pub preemptions: u64,
+        /// Flushes fired specifically inside the single-step window.
+        pub window_flushes: u64,
+        /// Signals fired inside the single-step window.
+        pub window_signals: u64,
+        /// Filesystem operations observed.
+        pub fs_ops: u64,
+        /// Injected filesystem I/O errors.
+        pub fs_errors: u64,
+        /// Injected short filesystem transfers.
+        pub fs_shorts: u64,
+        /// Snapshot save operations observed.
+        pub snap_ops: u64,
+        /// Injected snapshot corruptions.
+        pub snap_faults: u64,
+    }
 }
 
 /// The fault decision for one filesystem operation

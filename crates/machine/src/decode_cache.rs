@@ -45,19 +45,20 @@ pub struct CachedDecode {
     pub len: u8,
 }
 
-/// Cache-effectiveness counters. Deliberately **not** part of
-/// [`MachineStats`](crate::stats::MachineStats): the cache is transparent
-/// to the modeled machine, and keeping these separate lets the
-/// equivalence proptest compare `MachineStats` for equality.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to the byte-by-byte decoder.
-    pub misses: u64,
-    /// Frames whose cached decodes were dropped because the frame was
-    /// written (version mismatch observed on lookup).
-    pub invalidations: u64,
+crate::counters! {
+    /// Cache-effectiveness counters. Deliberately **not** part of
+    /// [`MachineStats`](crate::stats::MachineStats): the cache is transparent
+    /// to the modeled machine, and keeping these separate lets the
+    /// equivalence proptest compare `MachineStats` for equality.
+    pub struct DecodeCacheStats {
+        /// Lookups answered from the cache.
+        pub hits: u64,
+        /// Lookups that fell through to the byte-by-byte decoder.
+        pub misses: u64,
+        /// Frames whose cached decodes were dropped because the frame was
+        /// written (version mismatch observed on lookup).
+        pub invalidations: u64,
+    }
 }
 
 /// Decodes cached for one physical frame.

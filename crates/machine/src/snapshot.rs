@@ -434,38 +434,6 @@ fn read_config(r: &mut Reader) -> Result<MachineConfig, SnapshotError> {
     })
 }
 
-fn write_tlb_stats(w: &mut Writer, s: &TlbStats) {
-    for v in [
-        s.hits,
-        s.misses,
-        s.cold_misses,
-        s.capacity_misses,
-        s.conflict_misses,
-        s.fills,
-        s.flushes,
-        s.page_invalidations,
-        s.evictions,
-        s.chaos_evictions,
-    ] {
-        w.u64(v);
-    }
-}
-
-fn read_tlb_stats(r: &mut Reader) -> Result<TlbStats, SnapshotError> {
-    Ok(TlbStats {
-        hits: r.u64()?,
-        misses: r.u64()?,
-        cold_misses: r.u64()?,
-        capacity_misses: r.u64()?,
-        conflict_misses: r.u64()?,
-        fills: r.u64()?,
-        flushes: r.u64()?,
-        page_invalidations: r.u64()?,
-        evictions: r.u64()?,
-        chaos_evictions: r.u64()?,
-    })
-}
-
 fn write_tlb(w: &mut Writer, t: &Tlb) {
     w.u16(t.current_asid);
     w.u8(match t.last_miss {
@@ -473,7 +441,7 @@ fn write_tlb(w: &mut Writer, t: &Tlb) {
         sm_trace::MissClass::Conflict => 1,
         sm_trace::MissClass::Capacity => 2,
     });
-    write_tlb_stats(w, &t.stats);
+    t.stats.write(w);
     // Per-set contents, MRU-first, exactly as resident: replacement order
     // is part of the deterministic miss stream.
     w.u64(t.sets.len() as u64);
@@ -513,7 +481,7 @@ fn read_tlb(r: &mut Reader, t: &mut Tlb) -> Result<(), SnapshotError> {
         2 => sm_trace::MissClass::Capacity,
         _ => return Err(SnapshotError::Malformed("unknown miss class")),
     };
-    t.stats = read_tlb_stats(r)?;
+    t.stats = TlbStats::read(r)?;
     let nsets = r.count(MAX_TLB_DIM)?;
     if nsets != geometry.sets {
         return Err(SnapshotError::Malformed(
@@ -626,19 +594,7 @@ pub fn save_machine(m: &Machine) -> Vec<u8> {
     w.u32(m.cpu.regs.cr2);
     w.u32(m.cpu.regs.cr3);
     w.bool(m.pending_singlestep);
-    for v in [
-        m.stats.instructions,
-        m.stats.walks,
-        m.stats.page_faults,
-        m.stats.invalid_opcodes,
-        m.stats.debug_traps,
-        m.stats.divide_errors,
-        m.stats.syscalls,
-        m.stats.cr3_loads,
-        m.stats.invlpgs,
-    ] {
-        w.u64(v);
-    }
+    m.stats.write(&mut w);
     write_phys(&mut w, &m.phys);
     write_tlb(&mut w, &m.itlb);
     write_tlb(&mut w, &m.dtlb);
@@ -813,17 +769,7 @@ fn load_machine_from(r: &mut Reader) -> Result<Machine, SnapshotError> {
     m.cpu.regs.cr2 = r.u32()?;
     m.cpu.regs.cr3 = r.u32()?;
     m.pending_singlestep = r.bool()?;
-    m.stats = MachineStats {
-        instructions: r.u64()?,
-        walks: r.u64()?,
-        page_faults: r.u64()?,
-        invalid_opcodes: r.u64()?,
-        debug_traps: r.u64()?,
-        divide_errors: r.u64()?,
-        syscalls: r.u64()?,
-        cr3_loads: r.u64()?,
-        invlpgs: r.u64()?,
-    };
+    m.stats = MachineStats::read(r)?;
     read_phys(r, &mut m.phys)?;
     read_tlb(r, &mut m.itlb)?;
     read_tlb(r, &mut m.dtlb)?;
@@ -885,21 +831,7 @@ pub fn save_chaos(c: &ChaosState) -> Vec<u8> {
     write_plan(&mut w, &c.plan);
     w.u64(c.rng.state());
     w.u64(c.snap_rng.state());
-    for v in [
-        c.stats.steps,
-        c.stats.flushes,
-        c.stats.evictions,
-        c.stats.preemptions,
-        c.stats.window_flushes,
-        c.stats.window_signals,
-        c.stats.fs_ops,
-        c.stats.fs_errors,
-        c.stats.fs_shorts,
-        c.stats.snap_ops,
-        c.stats.snap_faults,
-    ] {
-        w.u64(v);
-    }
+    c.stats.write(&mut w);
     w.bool(c.was_in_window);
     w.into_bytes()
 }
@@ -916,19 +848,7 @@ pub fn load_chaos(bytes: &[u8]) -> Result<ChaosState, SnapshotError> {
     let mut c = ChaosState::new(plan);
     c.rng = StdRng::seed_from_u64(r.u64()?);
     c.snap_rng = StdRng::seed_from_u64(r.u64()?);
-    c.stats = ChaosStats {
-        steps: r.u64()?,
-        flushes: r.u64()?,
-        evictions: r.u64()?,
-        preemptions: r.u64()?,
-        window_flushes: r.u64()?,
-        window_signals: r.u64()?,
-        fs_ops: r.u64()?,
-        fs_errors: r.u64()?,
-        fs_shorts: r.u64()?,
-        snap_ops: r.u64()?,
-        snap_faults: r.u64()?,
-    };
+    c.stats = ChaosStats::read(&mut r)?;
     c.was_in_window = r.bool()?;
     if !r.is_done() {
         return Err(SnapshotError::Malformed("trailing bytes after chaos state"));

@@ -83,26 +83,27 @@ use crate::isa::{self, Decoded, Grp5Op, Insn, Rm, SliceSource, UnOp};
 use crate::machine::{Machine, Trap};
 use crate::pte::{self, Frame};
 
-/// Pipeline-effectiveness counters. Deliberately **not** part of
-/// [`MachineStats`](crate::stats::MachineStats): the superblock tier is
-/// transparent to the modeled machine, and keeping these separate lets
-/// the pipeline ≡ per-step proptests compare `MachineStats` for equality.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SuperblockStats {
-    /// Block entries answered from the cache.
-    pub hits: u64,
-    /// Blocks decoded and cached (lookup misses).
-    pub builds: u64,
-    /// Frames whose cached blocks were dropped because the frame was
-    /// written (version mismatch observed on lookup).
-    pub invalidations: u64,
-    /// Blocks abandoned mid-execution because the spanned frame's
-    /// write-generation advanced under them (self-modifying code).
-    pub bailouts: u64,
-    /// Instructions routed through the plain [`Machine::step`] slow path
-    /// (cold I-TLB, rights re-walk due, software TLB, page-crossing
-    /// entry instruction, armed trap flag).
-    pub slow_steps: u64,
+crate::counters! {
+    /// Pipeline-effectiveness counters. Deliberately **not** part of
+    /// [`MachineStats`](crate::stats::MachineStats): the superblock tier is
+    /// transparent to the modeled machine, and keeping these separate lets
+    /// the pipeline ≡ per-step proptests compare `MachineStats` for equality.
+    pub struct SuperblockStats {
+        /// Block entries answered from the cache.
+        pub hits: u64,
+        /// Blocks decoded and cached (lookup misses).
+        pub builds: u64,
+        /// Frames whose cached blocks were dropped because the frame was
+        /// written (version mismatch observed on lookup).
+        pub invalidations: u64,
+        /// Blocks abandoned mid-execution because the spanned frame's
+        /// write-generation advanced under them (self-modifying code).
+        pub bailouts: u64,
+        /// Instructions routed through the plain [`Machine::step`] slow path
+        /// (cold I-TLB, rights re-walk due, software TLB, page-crossing
+        /// entry instruction, armed trap flag).
+        pub slow_steps: u64,
+    }
 }
 
 /// Op is eligible for the batched lane: it cannot transfer control to a

@@ -134,57 +134,35 @@ pub struct TlbEntry {
     pub nx: bool,
 }
 
-/// Running counters for one TLB.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TlbStats {
-    /// Lookups that found a valid entry.
-    pub hits: u64,
-    /// Lookups that missed (a hardware pagetable walk follows). Always
-    /// `cold_misses + capacity_misses + conflict_misses`.
-    pub misses: u64,
-    /// Misses to a page never filled before.
-    pub cold_misses: u64,
-    /// Misses a fully-associative buffer of the same capacity would also
-    /// have taken (includes re-walks forced by flushes/invalidations).
-    pub capacity_misses: u64,
-    /// Misses only set pressure explains: the shadow fully-associative
-    /// model still held the page.
-    pub conflict_misses: u64,
-    /// Entries inserted by the walker.
-    pub fills: u64,
-    /// Whole-TLB flushes (CR3 loads).
-    pub flushes: u64,
-    /// Single-page invalidations (`invlpg`).
-    pub page_invalidations: u64,
-    /// Valid entries discarded by per-set LRU to make room for a fill —
-    /// genuine pressure only, never chaos injection.
-    pub evictions: u64,
-    /// Entries discarded by the chaos harness ([`Tlb::evict_one`]), kept
-    /// out of [`TlbStats::evictions`] so fault injection does not pollute
-    /// capacity diagnostics.
-    pub chaos_evictions: u64,
-}
-
-impl TlbStats {
-    /// Field-wise difference `self - earlier`; use with a snapshot taken
-    /// before a measured region. Saturating: a baseline from a different
-    /// (or reset) TLB yields zeros for regressed fields rather than a
-    /// debug panic / release wrap-around.
-    pub fn since(&self, earlier: &TlbStats) -> TlbStats {
-        TlbStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            cold_misses: self.cold_misses.saturating_sub(earlier.cold_misses),
-            capacity_misses: self.capacity_misses.saturating_sub(earlier.capacity_misses),
-            conflict_misses: self.conflict_misses.saturating_sub(earlier.conflict_misses),
-            fills: self.fills.saturating_sub(earlier.fills),
-            flushes: self.flushes.saturating_sub(earlier.flushes),
-            page_invalidations: self
-                .page_invalidations
-                .saturating_sub(earlier.page_invalidations),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            chaos_evictions: self.chaos_evictions.saturating_sub(earlier.chaos_evictions),
-        }
+crate::counters! {
+    /// Running counters for one TLB.
+    pub struct TlbStats {
+        /// Lookups that found a valid entry.
+        pub hits: u64,
+        /// Lookups that missed (a hardware pagetable walk follows). Always
+        /// `cold_misses + capacity_misses + conflict_misses`.
+        pub misses: u64,
+        /// Misses to a page never filled before.
+        pub cold_misses: u64,
+        /// Misses a fully-associative buffer of the same capacity would also
+        /// have taken (includes re-walks forced by flushes/invalidations).
+        pub capacity_misses: u64,
+        /// Misses only set pressure explains: the shadow fully-associative
+        /// model still held the page.
+        pub conflict_misses: u64,
+        /// Entries inserted by the walker.
+        pub fills: u64,
+        /// Whole-TLB flushes (CR3 loads).
+        pub flushes: u64,
+        /// Single-page invalidations (`invlpg`).
+        pub page_invalidations: u64,
+        /// Valid entries discarded by per-set LRU to make room for a fill —
+        /// genuine pressure only, never chaos injection.
+        pub evictions: u64,
+        /// Entries discarded by the chaos harness ([`Tlb::evict_one`]), kept
+        /// out of [`TlbStats::evictions`] so fault injection does not pollute
+        /// capacity diagnostics.
+        pub chaos_evictions: u64,
     }
 }
 

@@ -1,8 +1,9 @@
-//! CLI contract tests for the `chaos` binary's replay surface: every
-//! malformed invocation or unreadable/corrupt dump must produce a typed
-//! diagnostic on stderr and a nonzero exit — never a panic. (The replay
-//! path consumes untrusted files; `expect`/`unwrap` on the arg or read
-//! path would turn a bad path into a crash with exit 101.)
+//! CLI contract tests for the bench binaries, chiefly the `chaos`
+//! binary's replay surface: every malformed invocation, unreadable/corrupt
+//! dump or unwritable artifact path must produce a typed diagnostic on
+//! stderr and a nonzero exit — never a panic. (The replay path consumes
+//! untrusted files; `expect`/`unwrap` on the arg or read path would turn a
+//! bad path into a crash with exit 101.)
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -93,6 +94,36 @@ fn dump_demo_unwritable_path_is_a_typed_error() {
     let out = run(&["--dump-demo", "/nonexistent/dir/demo.smcdump"]);
     assert_typed_failure(&out, "cannot write /nonexistent/dir/demo.smcdump");
     assert_eq!(out.status.code(), Some(1));
+}
+
+/// `all_experiments` checks its summary destination before the first
+/// section: an unwritable `BENCH_SUMMARY_PATH` is the shared `cannot write`
+/// diagnostic with exit 1, not a full sweep that exits 0 with no summary.
+#[test]
+fn all_experiments_unwritable_summary_fails_before_running() {
+    let out = Command::new(env!("CARGO_BIN_EXE_all_experiments"))
+        .env("BENCH_SUMMARY_PATH", "/nonexistent/dir/summary.json")
+        .output()
+        .expect("all_experiments bin runs");
+    assert_typed_failure(
+        &out,
+        "all_experiments: cannot write /nonexistent/dir/summary.json",
+    );
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "a section ran before the check");
+}
+
+/// `fleet --report` to an unwritable path fails before simulating, with
+/// the I/O status 1 (2 is reserved for usage errors).
+#[test]
+fn fleet_unwritable_report_fails_before_simulating() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
+        .args(["--quick", "--report", "/nonexistent/dir/report.txt"])
+        .output()
+        .expect("fleet bin runs");
+    assert_typed_failure(&out, "fleet: cannot write /nonexistent/dir/report.txt");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "the fleet ran before the check");
 }
 
 /// Sharded execution is gone, so `--shards` is an unknown argument

@@ -12,25 +12,31 @@
 //! * **Unified clock** — kernel `Event` stamps and `TraceEvent` stamps
 //!   both ride `machine.cycles`: each stream is monotonic, and their
 //!   merge is consistent.
-//! * **Saturating stats deltas** — `since` on machine/kernel/TLB stats
-//!   never underflows, even with a baseline from a later (or different)
+//! * **Saturating stats deltas** — `since` on every counter set never
+//!   underflows, even with a baseline from a later (or different)
 //!   snapshot, and chaos-slice diffs across fork/exit stay sane.
+//! * **Counter vocabulary** — every `counters!` set's field names are
+//!   pinned in declaration order, which is also its snapshot wire order
+//!   and its JSON key order, and its codec round-trips 8 bytes a field.
 
 use proptest::prelude::*;
 use sm_attacks::harness::{classify_marker, kernel_with_on};
 use sm_attacks::wilander::{self, InjectLocation, Technique, MARKER};
 use sm_bench::chaos::{self, Scenario};
 use sm_core::invariants;
+use sm_core::nx::NxStats;
 use sm_core::setup::Protection;
+use sm_core::{ShadowStats, SplitStats};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
 use sm_kernel::stats::KernelStats;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
-use sm_machine::chaos::FaultPlan;
+use sm_machine::chaos::{ChaosStats, FaultPlan};
+use sm_machine::snapshot::{Reader, SnapshotError, Writer};
 use sm_machine::stats::MachineStats;
 use sm_machine::tlb::TlbStats;
 use sm_machine::trace::{check_order, mask};
-use sm_machine::TlbPreset;
+use sm_machine::{DecodeCacheStats, SuperblockStats, TlbPreset};
 
 fn split_break() -> Protection {
     Protection::SplitMem(ResponseMode::Break)
@@ -324,29 +330,170 @@ fn event_log_and_trace_share_one_monotonic_clock() {
     );
 }
 
+/// Invoke `$check!(Set { field, … })` for every counter set, fields in
+/// declaration order. The lists are the pin: declaration order is the
+/// snapshot wire order of the seven serialized sets and the key order of
+/// every `iter`-based export, so swapping two fields must fail a test
+/// rather than silently shift a format.
+macro_rules! for_each_counter_set {
+    ($check:ident) => {
+        $check!(MachineStats {
+            instructions,
+            walks,
+            page_faults,
+            invalid_opcodes,
+            debug_traps,
+            divide_errors,
+            syscalls,
+            cr3_loads,
+            invlpgs
+        });
+        $check!(TlbStats {
+            hits,
+            misses,
+            cold_misses,
+            capacity_misses,
+            conflict_misses,
+            fills,
+            flushes,
+            page_invalidations,
+            evictions,
+            chaos_evictions
+        });
+        $check!(DecodeCacheStats {
+            hits,
+            misses,
+            invalidations
+        });
+        $check!(SuperblockStats {
+            hits,
+            builds,
+            invalidations,
+            bailouts,
+            slow_steps
+        });
+        $check!(ChaosStats {
+            steps,
+            flushes,
+            evictions,
+            preemptions,
+            window_flushes,
+            window_signals,
+            fs_ops,
+            fs_errors,
+            fs_shorts,
+            snap_ops,
+            snap_faults
+        });
+        $check!(KernelStats {
+            context_switches,
+            demand_pages,
+            cow_breaks,
+            syscalls,
+            handler_signals,
+            fatal_signals,
+            processes_spawned,
+            libraries_loaded,
+            soft_tlb_fills
+        });
+        $check!(SplitStats {
+            pages_split,
+            data_reloads,
+            code_reloads,
+            data_reload_fallbacks,
+            detections,
+            pages_locked,
+            cow_splits,
+            lazy_materializations,
+            oom_degraded
+        });
+        $check!(NxStats {
+            pages_marked,
+            detections,
+            trampoline_exemptions,
+            honeypot_pages
+        });
+        $check!(ShadowStats {
+            calls_tracked,
+            rets_checked,
+            indirects_checked,
+            frames_unwound,
+            ret_mismatches,
+            cfi_violations,
+            trampoline_pushes
+        });
+    };
+}
+
+/// A value of the set whose fields, in the listed order, hold
+/// `(n << 32) | n` for n = 1, 2, …: all distinct, all non-zero, and
+/// nonzero in both halves of the u64.
+macro_rules! distinct {
+    ($set:ident { $($field:ident),+ }) => {{
+        let mut n = 0u64;
+        $set {
+            $($field: {
+                n += 1;
+                (n << 32) | n
+            },)+
+        }
+    }};
+}
+
+/// A reversed diff yields zeros, not a panic (debug) or ~2^64 garbage
+/// (release).
+macro_rules! assert_since_saturates {
+    ($set:ident { $($field:ident),+ }) => {{
+        let late = distinct!($set { $($field),+ });
+        assert_eq!($set::default().since(&late), $set::default(), stringify!($set));
+    }};
+}
+
+/// `iter` names pinned verbatim, the wire bytes pinned to that order, a
+/// round trip that consumes exactly 8 bytes a field, truncation typed, and
+/// `since` field-wise.
+macro_rules! assert_counter_set {
+    ($set:ident { $($field:ident),+ }) => {{
+        let set = stringify!($set);
+        let value = distinct!($set { $($field),+ });
+        let pinned: Vec<(&str, u64)> = [$(stringify!($field)),+]
+            .into_iter()
+            .zip(1u64..)
+            .map(|(name, n)| (name, (n << 32) | n))
+            .collect();
+        assert_eq!(value.iter().collect::<Vec<_>>(), pinned, "{set}: iter order");
+
+        let mut w = Writer::new();
+        value.write(&mut w);
+        let bytes = w.into_bytes();
+        let wire: Vec<u8> = pinned.iter().flat_map(|(_, v)| v.to_le_bytes()).collect();
+        assert_eq!(bytes, wire, "{set}: wire order");
+        let mut padded = bytes.clone();
+        padded.push(0xAA);
+        let mut r = Reader::new(&padded);
+        assert_eq!($set::read(&mut r), Ok(value), "{set}: round trip");
+        assert_eq!(r.remaining(), 1, "{set}: read must consume 8 x {} bytes", pinned.len());
+        let short = &bytes[..bytes.len() - 1];
+        assert_eq!(
+            $set::read(&mut Reader::new(short)),
+            Err(SnapshotError::Truncated),
+            "{set}: one byte short"
+        );
+
+        let doubled = $set { $($field: 2 * value.$field,)+ };
+        assert_eq!(doubled.since(&value), value, "{set}: since subtracts field-wise");
+    }};
+}
+
+#[test]
+fn every_counter_set_pins_its_names_wire_order_and_codec() {
+    for_each_counter_set!(assert_counter_set);
+}
+
 #[test]
 fn stats_deltas_saturate_and_stay_sane_across_fork_exit() {
-    // Direct saturation pin: a reversed diff yields zeros, not a panic
-    // (debug) or ~2^64 garbage (release).
-    let late = MachineStats {
-        instructions: 100,
-        walks: 5,
-        ..MachineStats::default()
-    };
-    let early = MachineStats::default();
-    assert_eq!(early.since(&late), MachineStats::default());
-    let klate = KernelStats {
-        syscalls: 9,
-        cow_breaks: 2,
-        ..KernelStats::default()
-    };
-    assert_eq!(KernelStats::default().since(&klate), KernelStats::default());
-    let tlate = TlbStats {
-        hits: 40,
-        misses: 3,
-        ..TlbStats::default()
-    };
-    assert_eq!(TlbStats::default().since(&tlate), TlbStats::default());
+    // Direct saturation pin over every counter set.
+    for_each_counter_set!(assert_since_saturates);
 
     // Chaos-slice check: diff stats across slices spanning fork, COW
     // break, child exit and parent exit; every delta must be bounded by
