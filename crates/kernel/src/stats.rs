@@ -23,3 +23,24 @@ sm_machine::counters! {
         pub soft_tlb_fills: u64,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn since_subtracts() {
+        let a = KernelStats {
+            syscalls: 5,
+            ..KernelStats::default()
+        };
+        let b = KernelStats {
+            syscalls: 9,
+            context_switches: 2,
+            ..KernelStats::default()
+        };
+        let d = b.since(&a);
+        assert_eq!(d.syscalls, 4);
+        assert_eq!(d.context_switches, 2);
+    }
+}

@@ -118,3 +118,27 @@ counters! {
         pub invlpgs: u64,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn since_subtracts_fieldwise() {
+        let early = MachineStats {
+            instructions: 10,
+            walks: 1,
+            ..MachineStats::default()
+        };
+        let late = MachineStats {
+            instructions: 25,
+            walks: 4,
+            page_faults: 2,
+            ..MachineStats::default()
+        };
+        let d = late.since(&early);
+        assert_eq!(d.instructions, 15);
+        assert_eq!(d.walks, 3);
+        assert_eq!(d.page_faults, 2);
+    }
+}
