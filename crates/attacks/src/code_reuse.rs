@@ -40,12 +40,11 @@
 //! address needs the info leak.
 
 use crate::harness::{
-    classify_shell, ext_recv_wait, ext_send, external_connect_patiently, kernel_with_on,
+    classify_shell, ext_recv_wait, ext_send, external_connect_patiently, kernel_with,
     AttackOutcome, Protection,
 };
 use sm_kernel::kernel::{Kernel, KernelConfig};
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
-use sm_machine::TlbPreset;
 
 /// The code-reuse attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,15 +105,10 @@ pub struct ReuseReport {
 
 /// Run one code-reuse attack under a protection configuration.
 pub fn run_reuse(attack: ReuseAttack, protection: &Protection) -> ReuseReport {
-    run_reuse_on(attack, protection, TlbPreset::default())
-}
-
-/// [`run_reuse`] on an explicit TLB geometry.
-pub fn run_reuse_on(attack: ReuseAttack, protection: &Protection, tlb: TlbPreset) -> ReuseReport {
     match attack {
-        ReuseAttack::Ret2Libc => run_ret2libc(protection, tlb),
-        ReuseAttack::RopChain => run_rop_chain(protection, tlb),
-        ReuseAttack::DcrFingerprint => run_fingerprint(protection, tlb),
+        ReuseAttack::Ret2Libc => run_ret2libc(protection),
+        ReuseAttack::RopChain => run_rop_chain(protection),
+        ReuseAttack::DcrFingerprint => run_fingerprint(protection),
     }
 }
 
@@ -123,8 +117,8 @@ pub fn run_reuse_on(attack: ReuseAttack, protection: &Protection, tlb: TlbPreset
 
 const BUDGET: u64 = 4_000_000;
 
-fn spawn_victim(protection: &Protection, tlb: TlbPreset, prog: &BuiltProgram) -> Kernel {
-    let mut k = kernel_with_on(protection, tlb, KernelConfig::default());
+fn spawn_victim(protection: &Protection, prog: &BuiltProgram) -> Kernel {
+    let mut k = kernel_with(protection, KernelConfig::default());
     k.spawn(&prog.image).expect("victim spawns");
     k
 }
@@ -246,17 +240,16 @@ pub fn libd_server() -> BuiltProgram {
         .expect("libd server assembles")
 }
 
-fn libd_connect(protection: &Protection, tlb: TlbPreset) -> (Kernel, crate::harness::ExternalConn) {
-    libd_connect_with(protection, tlb, KernelConfig::default())
+fn libd_connect(protection: &Protection) -> (Kernel, crate::harness::ExternalConn) {
+    libd_connect_with(protection, KernelConfig::default())
 }
 
 fn libd_connect_with(
     protection: &Protection,
-    tlb: TlbPreset,
     kconfig: KernelConfig,
 ) -> (Kernel, crate::harness::ExternalConn) {
     let prog = libd_server();
-    let mut k = kernel_with_on(protection, tlb, kconfig);
+    let mut k = kernel_with(protection, kconfig);
     k.spawn(&prog.image).expect("victim spawns");
     let conn = external_connect_patiently(&mut k, 8080, BUDGET).expect("libd listening");
     // Drain the banner (the buffer leak is unused by ret2libc/ROP — the
@@ -271,9 +264,9 @@ fn send_overflow(k: &mut Kernel, conn: &crate::harness::ExternalConn, payload: &
     ext_send(k, conn, payload);
 }
 
-fn run_ret2libc(protection: &Protection, tlb: TlbPreset) -> ReuseReport {
+fn run_ret2libc(protection: &Protection) -> ReuseReport {
     let prog = libd_server();
-    let (mut k, conn) = libd_connect(protection, tlb);
+    let (mut k, conn) = libd_connect(protection);
     // 128 bytes of pure filler (no code!), junk saved-ebp, and the
     // address of the victim's own lib_system over the return address.
     let mut payload = vec![b'A'; 128];
@@ -313,9 +306,9 @@ fn rop_chain(prog: &BuiltProgram) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
 
-fn run_rop_chain(protection: &Protection, tlb: TlbPreset) -> ReuseReport {
+fn run_rop_chain(protection: &Protection) -> ReuseReport {
     let prog = libd_server();
-    let (mut k, conn) = libd_connect(protection, tlb);
+    let (mut k, conn) = libd_connect(protection);
     let mut payload = vec![b'A'; 128];
     payload.extend_from_slice(&0x41414141u32.to_le_bytes()); // saved ebp
     payload.extend_from_slice(&rop_chain(&prog));
@@ -333,7 +326,7 @@ pub fn run_rop_traced(protection: &Protection, trace: u32) -> (ReuseReport, Stri
         trace,
         ..KernelConfig::default()
     };
-    let (mut k, conn) = libd_connect_with(protection, TlbPreset::default(), kconfig);
+    let (mut k, conn) = libd_connect_with(protection, kconfig);
     let mut payload = vec![b'A'; 128];
     payload.extend_from_slice(&0x41414141u32.to_le_bytes()); // saved ebp
     payload.extend_from_slice(&rop_chain(&prog));
@@ -470,9 +463,9 @@ pub fn fingerprint_probe(expected_page: u32, fd: u32) -> Vec<u8> {
         .bytes
 }
 
-fn run_fingerprint(protection: &Protection, tlb: TlbPreset) -> ReuseReport {
+fn run_fingerprint(protection: &Protection) -> ReuseReport {
     let prog = fingerd_server();
-    let mut k = spawn_victim(protection, tlb, &prog);
+    let mut k = spawn_victim(protection, &prog);
     let conn = external_connect_patiently(&mut k, 79, BUDGET).expect("fingerd listening");
     let banner = String::from_utf8_lossy(&ext_recv_wait(&mut k, &conn, BUDGET)).into_owned();
     let bufaddr = parse_leak(&banner, 0).expect("buffer leak in banner");
@@ -496,7 +489,7 @@ fn run_fingerprint(protection: &Protection, tlb: TlbPreset) -> ReuseReport {
 /// that the shadow-stack engine does not false-positive on legitimate
 /// call/ret traffic.
 pub fn run_libd_benign(protection: &Protection) -> (Kernel, usize) {
-    let (mut k, conn) = libd_connect(protection, TlbPreset::default());
+    let (mut k, conn) = libd_connect(protection);
     send_overflow(&mut k, &conn, b"hello");
     k.run(BUDGET);
     let d = crate::harness::detections(&k);

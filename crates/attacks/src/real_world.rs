@@ -684,7 +684,7 @@ pub fn wuftpd_server() -> BuiltProgram {
 }
 
 fn run_wuftpd(protection: &Protection, tlb: TlbPreset) -> ScenarioReport {
-    run_wuftpd_with_on(protection, tlb).0
+    run_wuftpd_traced_on(protection, tlb, 0).0
 }
 
 /// Like [`run_scenario`] for WU-FTPD, but also returns the kernel and the
@@ -692,21 +692,13 @@ fn run_wuftpd(protection: &Protection, tlb: TlbPreset) -> ScenarioReport {
 pub fn run_wuftpd_with(
     protection: &Protection,
 ) -> (ScenarioReport, Kernel, Option<crate::harness::ExternalConn>) {
-    run_wuftpd_with_on(protection, TlbPreset::default())
+    run_wuftpd_traced_on(protection, TlbPreset::default(), 0)
 }
 
-/// [`run_wuftpd_with`] on an explicit TLB geometry.
-pub fn run_wuftpd_with_on(
-    protection: &Protection,
-    tlb: TlbPreset,
-) -> (ScenarioReport, Kernel, Option<crate::harness::ExternalConn>) {
-    run_wuftpd_traced_on(protection, tlb, 0)
-}
-
-/// [`run_wuftpd_with_on`] with the trace subsystem armed (`trace` is a
-/// [`sm_machine::trace::mask`] bitmask): the returned kernel's ring holds
-/// the exploit's cycle-stamped event stream, which the Fig. 5 response-mode
-/// demo renders with `--trace`.
+/// [`run_wuftpd_with`] on an explicit TLB geometry, with the trace
+/// subsystem armed (`trace` is a [`sm_machine::trace::mask`] bitmask): the
+/// returned kernel's ring holds the exploit's cycle-stamped event stream,
+/// which the Fig. 5 response-mode demo renders with `--trace`.
 pub fn run_wuftpd_traced_on(
     protection: &Protection,
     tlb: TlbPreset,

@@ -1,7 +1,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 //! Runs every table and figure in sequence (the paper's full evaluation),
-//! then re-runs the performance figures on the paper's Pentium III TLB
-//! geometry (32-entry 4-way I-TLB, 64-entry 4-way D-TLB).
+//! then Fig. 7's TLB miss anatomy on the paper's Pentium III TLB geometry
+//! (32-entry 4-way I-TLB, 64-entry 4-way D-TLB). Figs 6–9 are not re-run
+//! on that geometry: every one of their sub-runs is cycle- and
+//! counter-identical on both, which `tests/performance_shape.rs` pins.
 //!
 //! Every section is wall-clock timed, raw interpreter throughput is probed
 //! with tracing off and on, and the lot is written to
@@ -116,12 +118,7 @@ fn main() {
         let split = Protection::SplitMem(ResponseMode::Break);
         let seeds = [1u64];
         for (mode, asid) in [("flush-on-switch", false), ("asid-tagged", true)] {
-            let swept = sm_bench::interference::sweep_interference_on(
-                &seeds,
-                &split,
-                TlbPreset::default(),
-                asid,
-            );
+            let swept = sm_bench::interference::sweep_interference(&seeds, &split, asid);
             let detected = swept.iter().filter(|c| c.run.detections > 0).count();
             let stable = swept.iter().all(|c| c.verdict_stable);
             println!(
@@ -145,31 +142,10 @@ fn main() {
     });
     summary.interference = Some(counters);
 
-    let p3 = TlbPreset::pentium3();
-    summary.section("fig6-pentium3", || {
-        println!("==== Fig. 6 (pentium3 geometry) =================================\n");
-        let f6 = sm_bench::fig6::run(sm_bench::fig6::Fig6Params::default().on(p3));
-        println!("{}", sm_bench::fig6::render(&f6));
-    });
-
     summary.section("fig7-pentium3", || {
         println!("==== Fig. 7 (pentium3 geometry) =================================\n");
-        let f7 = sm_bench::fig7::run_on(p3, 60);
-        println!("{}", sm_bench::fig7::render(&f7));
-        let diags = sm_bench::fig7::tlb_diagnostics(p3, 60);
+        let diags = sm_bench::fig7::tlb_diagnostics(TlbPreset::pentium3(), 60);
         println!("{}", sm_bench::fig7::render_diagnostics(&diags));
-    });
-
-    summary.section("fig8-pentium3", || {
-        println!("==== Fig. 8 (pentium3 geometry) =================================\n");
-        let f8 = sm_bench::fig8::run_on(p3, 30);
-        println!("{}", sm_bench::fig8::render(&f8));
-    });
-
-    summary.section("fig9-pentium3", || {
-        println!("==== Fig. 9 (pentium3 geometry) =================================\n");
-        let f9 = sm_bench::fig9::run_on(p3, 50, 8);
-        println!("{}", sm_bench::fig9::render(&f9));
     });
 
     println!("==== Interpreter throughput =====================================\n");

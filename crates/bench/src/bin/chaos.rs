@@ -91,10 +91,8 @@ const USAGE: &str = "usage: chaos [--quick] [--trace]
 /// A malformed command line: every arg-parsing failure funnels here
 /// (never a panic — the replay path handles untrusted files and must
 /// fail with a diagnostic and a nonzero exit however it is misused).
-fn usage_error(msg: &str) -> i32 {
-    eprintln!("chaos: {msg}");
-    eprintln!("{USAGE}");
-    2
+fn usage_error(msg: &str) -> ! {
+    cli::usage_error("chaos", USAGE, msg)
 }
 
 /// A fatal runtime error (a missing internal table entry; I/O refusals go
@@ -103,15 +101,6 @@ fn usage_error(msg: &str) -> i32 {
 fn fatal(msg: &str) -> ! {
     eprintln!("chaos: {msg}");
     std::process::exit(1);
-}
-
-/// Parse the flag's value argument, rejecting a missing value or another
-/// flag in value position.
-fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, String> {
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Ok(v),
-        _ => Err(format!("{flag} needs a value")),
-    }
 }
 
 /// `--fleet`: chaos scenarios at fleet scale — fork-storm churn, an OOM
@@ -165,10 +154,8 @@ fn fleet_scenarios() -> i32 {
         } else {
             failures += 1;
             let artifact = format!("fleet_{name}_report.txt");
-            let _ = std::fs::write(
-                &artifact,
-                format!("{}{}", result.render(), result.render_tenants()),
-            );
+            let report = format!("{}{}", result.render(), result.render_tenants());
+            cli::write_artifact("chaos", &artifact, report.as_bytes());
             println!("fleet {name}: FAILED ({}) -> {artifact}", bad.join("; "));
             for v in result
                 .violations
@@ -217,18 +204,16 @@ fn fleet_scenarios() -> i32 {
     } else {
         failures += 1;
         let artifact = "fleet_shard_kill_report.txt";
-        let _ = std::fs::write(
-            artifact,
-            format!(
-                "killed={} reports_identical={} timeline_identical={} splice_ok={} violations={}\n\n{}",
-                probe.killed,
-                probe.reports_identical,
-                probe.timeline_identical,
-                probe.splice_ok,
-                probe.violations.len(),
-                probe.detail
-            ),
+        let report = format!(
+            "killed={} reports_identical={} timeline_identical={} splice_ok={} violations={}\n\n{}",
+            probe.killed,
+            probe.reports_identical,
+            probe.timeline_identical,
+            probe.splice_ok,
+            probe.violations.len(),
+            probe.detail
         );
+        cli::write_artifact("chaos", artifact, report.as_bytes());
         println!("fleet shard-kill: FAILED -> {artifact}");
     }
 
@@ -249,17 +234,15 @@ fn main() {
         &["--replay", "--stop-seq", "--dump-demo"],
     );
     if let Some(i) = args.iter().position(|a| a == "--replay") {
-        let path = match flag_value(&args, i, "--replay") {
+        let path = match cli::flag_value(&args, i, "--replay") {
             Ok(p) => p,
-            Err(e) => std::process::exit(usage_error(&format!("{e} (a dump path)"))),
+            Err(e) => usage_error(&format!("{e} (a dump path)")),
         };
         let stop_seq = match args.iter().position(|a| a == "--stop-seq") {
-            Some(j) => match flag_value(&args, j, "--stop-seq").map(str::parse::<u64>) {
+            Some(j) => match cli::flag_value(&args, j, "--stop-seq").map(str::parse::<u64>) {
                 Ok(Ok(s)) => Some(s),
-                Ok(Err(e)) => {
-                    std::process::exit(usage_error(&format!("--stop-seq is not a number: {e}")))
-                }
-                Err(e) => std::process::exit(usage_error(&format!("{e} (a trace seq)"))),
+                Ok(Err(e)) => usage_error(&format!("--stop-seq is not a number: {e}")),
+                Err(e) => usage_error(&format!("{e} (a trace seq)")),
             },
             None => None,
         };
@@ -269,12 +252,12 @@ fn main() {
         });
     }
     if args.iter().any(|a| a == "--stop-seq") {
-        std::process::exit(usage_error("--stop-seq only makes sense with --replay"));
+        usage_error("--stop-seq only makes sense with --replay");
     }
     if let Some(i) = args.iter().position(|a| a == "--dump-demo") {
-        let path = match flag_value(&args, i, "--dump-demo") {
+        let path = match cli::flag_value(&args, i, "--dump-demo") {
             Ok(p) => p,
-            Err(e) => std::process::exit(usage_error(&format!("{e} (an output path)"))),
+            Err(e) => usage_error(&format!("{e} (an output path)")),
         };
         std::process::exit(dump_demo(path));
     }
@@ -495,8 +478,7 @@ fn main() {
         for (pname, protection, expect_success) in
             [("unprot", &unprotected, true), ("split", &split, false)]
         {
-            let swept =
-                interference::sweep_interference_on(&seeds, protection, TlbPreset::default(), asid);
+            let swept = interference::sweep_interference(&seeds, protection, asid);
             for r in &swept {
                 combos += 1;
                 let mut bad = Vec::new();

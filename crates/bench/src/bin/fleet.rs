@@ -33,34 +33,74 @@
 //!   a path that cannot be written fails before the run, with exit 1
 //! - `--quick` small smoke population (60 tenants, CI-sized)
 //!
-//! Exits non-zero on invariant violations, trace-order violations, or any
-//! attacker payload executing under a protecting configuration.
+//! An unknown argument, or a valued flag without its value, is a usage
+//! error: exit 2 before anything runs. Otherwise exits non-zero on
+//! invariant violations, trace-order violations, or any attacker payload
+//! executing under a protecting configuration.
 
+use sm_bench::cli;
 use sm_bench::fleet::arrivals::Profile;
 use sm_bench::fleet::{self, FleetConfig, Mix};
 use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
 use sm_machine::TlbPreset;
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+const USAGE: &str =
+    "usage: fleet [--quick] [--tenants N] [--shards N] [--cell-tenants N] [--seed N]
+             [--profile poisson|burst|ramp] [--requests N] [--mean N]
+             [--mix standard|forkstorm|oomramp]
+             [--protection unprotected|split|observe|nx|combined]
+             [--frames N] [--slo N] [--pentium3] [--asid] [--trace]
+             [--check-invariants] [--per-tenant] [--serial] [--report PATH]";
+
+fn usage_error(msg: &str) -> ! {
+    cli::usage_error("fleet", USAGE, msg)
+}
+
+/// The value of `flag` if it is given; a flag without one is a usage
+/// error.
+fn value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    let i = args.iter().position(|a| a == flag)?;
+    Some(cli::flag_value(args, i, flag).unwrap_or_else(|e| usage_error(&e)))
 }
 
 fn parse_or_die<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match flag_value(args, flag) {
+    match value(args, flag) {
         None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("fleet: bad value for {flag}: {v}");
-            std::process::exit(2);
-        }),
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("bad value for {flag}: {v}"))),
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = cli::checked_args(
+        "fleet",
+        USAGE,
+        &[
+            "--quick",
+            "--pentium3",
+            "--asid",
+            "--trace",
+            "--check-invariants",
+            "--per-tenant",
+            "--serial",
+        ],
+        &[
+            "--tenants",
+            "--shards",
+            "--cell-tenants",
+            "--seed",
+            "--profile",
+            "--requests",
+            "--mean",
+            "--mix",
+            "--protection",
+            "--frames",
+            "--slo",
+            "--report",
+        ],
+    );
     let has = |f: &str| args.iter().any(|a| a == f);
 
     let mut cfg = FleetConfig {
@@ -82,37 +122,29 @@ fn main() {
         cfg.shards = 3;
         cfg.requests_per_tenant = 4;
     }
-    if let Some(p) = flag_value(&args, "--profile") {
-        cfg.profile = Profile::parse(p).unwrap_or_else(|| {
-            eprintln!("fleet: unknown profile {p} (poisson|burst|ramp)");
-            std::process::exit(2);
-        });
+    if let Some(p) = value(&args, "--profile") {
+        cfg.profile =
+            Profile::parse(p).unwrap_or_else(|| usage_error(&format!("unknown profile {p}")));
     }
-    if let Some(m) = flag_value(&args, "--mix") {
-        cfg.mix = Mix::parse(m).unwrap_or_else(|| {
-            eprintln!("fleet: unknown mix {m} (standard|forkstorm|oomramp)");
-            std::process::exit(2);
-        });
+    if let Some(m) = value(&args, "--mix") {
+        cfg.mix = Mix::parse(m).unwrap_or_else(|| usage_error(&format!("unknown mix {m}")));
     }
-    if let Some(p) = flag_value(&args, "--protection") {
+    if let Some(p) = value(&args, "--protection") {
         cfg.protection = match p {
             "unprotected" => Protection::Unprotected,
             "split" => Protection::SplitMem(ResponseMode::Break),
             "observe" => Protection::SplitMem(ResponseMode::Observe),
             "nx" => Protection::Nx,
             "combined" => Protection::Combined(ResponseMode::Break),
-            _ => {
-                eprintln!("fleet: unknown protection {p}");
-                std::process::exit(2);
-            }
+            _ => usage_error(&format!("unknown protection {p}")),
         };
     }
     if has("--pentium3") {
         cfg.tlb = TlbPreset::pentium3();
     }
-    let report = flag_value(&args, "--report");
+    let report = value(&args, "--report");
     if let Some(path) = report {
-        sm_bench::cli::check_writable("fleet", path);
+        cli::check_writable("fleet", path);
     }
 
     let result = if has("--serial") {
@@ -127,7 +159,7 @@ fn main() {
     }
     if let Some(path) = report {
         let full = format!("{}{}", result.render(), result.render_tenants());
-        sm_bench::cli::write_artifact("fleet", path, full.as_bytes());
+        cli::write_artifact("fleet", path, full.as_bytes());
     }
 
     let mut failed = false;

@@ -1,6 +1,8 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
-//! Regenerates the paper's Table 1 (Wilander benchmark grid).
+//! Regenerates the paper's Table 1 (Wilander benchmark grid). Takes no
+//! arguments.
 fn main() {
+    sm_bench::cli::checked_args("table1", "usage: table1", &[], &[]);
     println!("Table 1 — benchmark attacks foiled by split memory, by injection segment\n");
     let t = sm_bench::table1::run();
     println!("{}", sm_bench::table1::render(&t));

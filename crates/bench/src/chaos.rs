@@ -236,20 +236,8 @@ pub struct ChaosRun {
 
 /// Run one scenario under one plan, checking invariants between slices.
 pub fn run_scenario(scenario: Scenario, protection: &Protection, plan: FaultPlan) -> ChaosRun {
-    run_scenario_on(scenario, protection, TlbPreset::default(), plan)
-}
-
-/// [`run_scenario`] on an explicit TLB geometry — chaos evictions become
-/// set-aware, so determinism and verdict stability must hold per
-/// `(plan, seed, geometry)`.
-pub fn run_scenario_on(
-    scenario: Scenario,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: FaultPlan,
-) -> ChaosRun {
     let (image, marker) = scenario_image(scenario);
-    run_image_on(&image, marker, protection, tlb, plan)
+    run_image_on(&image, marker, protection, TlbPreset::default(), plan)
 }
 
 /// Build a scenario's guest image. Assembly is a pure function of the
@@ -278,7 +266,9 @@ fn run_image_on(
     run_image_traced_on(image, marker, protection, tlb, plan, 0).0
 }
 
-/// [`run_scenario_on`] with the trace subsystem enabled: re-runs one
+/// [`run_scenario`] with the trace subsystem enabled, on an explicit TLB
+/// geometry (chaos evictions are set-aware, so determinism and verdict
+/// stability must hold per `(plan, seed, geometry)`): re-runs one
 /// `(scenario, plan)` combo with `trace_mask` layers recorded and returns
 /// the run plus the ring buffer's contents as JSONL (the last
 /// [`sm_trace::Tracer::DEFAULT_CAPACITY`] events). Used by the chaos bin's
@@ -403,7 +393,7 @@ pub fn sweep(seeds: &[u64], scenarios: &[Scenario], protection: &Protection) -> 
 /// [`sweep`] on an explicit TLB geometry. Combos fan out across threads
 /// (each combo owns its seeded fault stream and its own kernel, so runs
 /// are independent); results are merged in deterministic scenario-major
-/// order, byte-identical to [`sweep_serial_on`].
+/// order, byte-identical to [`sweep_serial`] on the default geometry.
 pub fn sweep_on(
     seeds: &[u64],
     scenarios: &[Scenario],
@@ -413,14 +403,14 @@ pub fn sweep_on(
     sweep_plans_on(seeds, scenarios, protection, tlb, perturbation_plans, true)
 }
 
-/// Single-threaded [`sweep_on`], kept as the reference the parallel sweep
-/// is tested byte-identical against.
-pub fn sweep_serial_on(
+/// Single-threaded [`sweep`], kept as the reference the parallel sweep is
+/// tested byte-identical against.
+pub fn sweep_serial(
     seeds: &[u64],
     scenarios: &[Scenario],
     protection: &Protection,
-    tlb: TlbPreset,
 ) -> Vec<ComboResult> {
+    let tlb = TlbPreset::default();
     let mut out = Vec::new();
     for &scenario in scenarios {
         let (image, marker) = scenario_image(scenario);

@@ -16,12 +16,27 @@ pub fn checked_args(bin: &str, usage: &str, switches: &[&str], valued: &[&str]) 
         if valued.contains(&a) {
             rest.next_if(|v| !v.starts_with("--"));
         } else if !switches.contains(&a) {
-            eprintln!("{bin}: unrecognised argument {a}");
-            eprintln!("{usage}");
-            std::process::exit(2);
+            usage_error(bin, usage, &format!("unrecognised argument {a}"));
         }
     }
     args
+}
+
+/// The value of the flag at `args[i]`, rejecting a missing value or
+/// another flag in value position with `<flag> needs a value`.
+pub fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, String> {
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(v),
+        _ => Err(format!("{flag} needs a value")),
+    }
+}
+
+/// A malformed command line: prints `<bin>: <msg>` and `usage` to stderr
+/// and exits with status 2.
+pub fn usage_error(bin: &str, usage: &str, msg: &str) -> ! {
+    eprintln!("{bin}: {msg}");
+    eprintln!("{usage}");
+    std::process::exit(2);
 }
 
 /// Write an artifact file. The destination comes from the command line,

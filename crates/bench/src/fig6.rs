@@ -12,10 +12,9 @@ use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{KernelConfig, RunExit};
 use sm_machine::trace::mask;
-use sm_machine::TlbPreset;
-use sm_workloads::nbench::{run_nbench_on, NbenchKernel};
+use sm_workloads::nbench::{run_nbench, NbenchKernel};
 use sm_workloads::runner::workload_kconfig;
-use sm_workloads::unixbench::{run_unixbench_on, UnixbenchTest};
+use sm_workloads::unixbench::{run_unixbench, UnixbenchTest};
 use sm_workloads::{geometric_mean, gzip, httpd, normalized};
 
 /// One bar of the figure.
@@ -42,8 +41,6 @@ pub struct Fig6Params {
     /// Unixbench iterations for cheap tests (expensive tests are scaled
     /// down internally).
     pub ub_iters: u32,
-    /// TLB geometry every run uses (both protected and baseline).
-    pub tlb: TlbPreset,
 }
 
 impl Default for Fig6Params {
@@ -53,7 +50,6 @@ impl Default for Fig6Params {
             gzip_kb: 64,
             nbench_iters: 300,
             ub_iters: 2500,
-            tlb: TlbPreset::default(),
         }
     }
 }
@@ -66,13 +62,17 @@ impl Fig6Params {
             gzip_kb: 16,
             nbench_iters: 40,
             ub_iters: 400,
-            ..Fig6Params::default()
         }
     }
+}
 
-    /// Same scale, on a different TLB geometry.
-    pub fn on(self, tlb: TlbPreset) -> Fig6Params {
-        Fig6Params { tlb, ..self }
+/// Per-kernel iterations for the nbench bar: integer arithmetic runs
+/// 50 × `base`, the other kernels `base`. Public, like
+/// [`ub_iterations_for`], so tools can reproduce the exact sub-runs.
+pub fn nbench_iterations_for(kernel: NbenchKernel, base: u32) -> u32 {
+    match kernel {
+        NbenchKernel::IntArithmetic => base * 50,
+        _ => base,
     }
 }
 
@@ -93,21 +93,16 @@ pub fn ub_iterations_for(test: UnixbenchTest, base: u32) -> u32 {
 }
 
 /// Unixbench index (geometric mean of per-test normalized scores), as real
-/// Unixbench aggregates.
+/// Unixbench aggregates. Per-test ratios fan out across threads; the
+/// geometric mean is order-insensitive, but the ratio vector keeps
+/// `UnixbenchTest::ALL` order anyway.
 pub fn unixbench_index(base: &Protection, prot: &Protection, iters: u32) -> f64 {
-    unixbench_index_on(base, prot, TlbPreset::default(), iters)
-}
-
-/// [`unixbench_index`] on an explicit TLB geometry. Per-test ratios fan
-/// out across threads; the geometric mean is order-insensitive, but the
-/// ratio vector keeps `UnixbenchTest::ALL` order anyway.
-pub fn unixbench_index_on(base: &Protection, prot: &Protection, tlb: TlbPreset, iters: u32) -> f64 {
     let ratios: Vec<f64> = UnixbenchTest::ALL
         .par_iter()
         .map(|t| {
             let n = ub_iterations_for(*t, iters);
-            let b = run_unixbench_on(base, tlb, *t, n);
-            let p = run_unixbench_on(prot, tlb, *t, n);
+            let b = run_unixbench(base, *t, n);
+            let p = run_unixbench(prot, *t, n);
             normalized(&p, &b)
         })
         .collect();
@@ -120,7 +115,6 @@ pub fn unixbench_index_on(base: &Protection, prot: &Protection, tlb: TlbPreset, 
 pub fn run(params: Fig6Params) -> Vec<Bar> {
     let base = Protection::Unprotected;
     let prot = Protection::SplitMem(ResponseMode::Break);
-    let tlb = params.tlb;
 
     type BarJob = Box<dyn Fn() -> Bar + Send + Sync>;
     let (b1, p1) = (base.clone(), prot.clone());
@@ -128,8 +122,8 @@ pub fn run(params: Fig6Params) -> Vec<Bar> {
     let (b3, p3) = (base.clone(), prot.clone());
     let jobs: Vec<BarJob> = vec![
         Box::new(move || {
-            let ab = httpd::run_httpd_on(&b1, tlb, 32 * 1024, params.requests);
-            let ap = httpd::run_httpd_on(&p1, tlb, 32 * 1024, params.requests);
+            let ab = httpd::run_httpd(&b1, 32 * 1024, params.requests);
+            let ap = httpd::run_httpd(&p1, 32 * 1024, params.requests);
             Bar {
                 name: "apache (32KB page)".into(),
                 normalized: normalized(&ap, &ab),
@@ -137,8 +131,8 @@ pub fn run(params: Fig6Params) -> Vec<Bar> {
             }
         }),
         Box::new(move || {
-            let gb = gzip::run_gzip_on(&b2, tlb, params.gzip_kb);
-            let gp = gzip::run_gzip_on(&p2, tlb, params.gzip_kb);
+            let gb = gzip::run_gzip(&b2, params.gzip_kb);
+            let gp = gzip::run_gzip(&p2, params.gzip_kb);
             Bar {
                 name: "gzip".into(),
                 normalized: normalized(&gp, &gb),
@@ -150,12 +144,9 @@ pub fn run(params: Fig6Params) -> Vec<Bar> {
             let slowest = NbenchKernel::ALL
                 .par_iter()
                 .map(|nk| {
-                    let iters = match nk {
-                        NbenchKernel::IntArithmetic => params.nbench_iters * 50,
-                        _ => params.nbench_iters,
-                    };
-                    let b = run_nbench_on(&b3, tlb, *nk, iters);
-                    let p = run_nbench_on(&p3, tlb, *nk, iters);
+                    let iters = nbench_iterations_for(*nk, params.nbench_iters);
+                    let b = run_nbench(&b3, *nk, iters);
+                    let p = run_nbench(&p3, *nk, iters);
                     normalized(&p, &b)
                 })
                 .collect::<Vec<f64>>()
@@ -169,7 +160,7 @@ pub fn run(params: Fig6Params) -> Vec<Bar> {
         }),
         Box::new(move || Bar {
             name: "unixbench index".into(),
-            normalized: unixbench_index_on(&base, &prot, tlb, params.ub_iters),
+            normalized: unixbench_index(&base, &prot, params.ub_iters),
             paper: 0.82,
         }),
     ];
@@ -212,14 +203,11 @@ pub struct VerifiedRun {
 /// Panics if the server or client image does not spawn on a fresh kernel.
 pub fn verified_run() -> VerifiedRun {
     let split = Protection::SplitMem(ResponseMode::Break);
-    let mut k = split.kernel_on(
-        TlbPreset::default(),
-        KernelConfig {
-            trace: mask::ALL,
-            trace_capacity: VERIFIED_RING,
-            ..workload_kconfig()
-        },
-    );
+    let mut k = split.kernel(KernelConfig {
+        trace: mask::ALL,
+        trace_capacity: VERIFIED_RING,
+        ..workload_kconfig()
+    });
     let page_size = 32 * 1024;
     k.spawn(&httpd::server_program(page_size, VERIFIED_REQUESTS).image)
         .expect("server spawns");

@@ -16,7 +16,7 @@ use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
 use sm_machine::tlb::TlbStats;
 use sm_machine::TlbPreset;
-use sm_workloads::unixbench::{run_unixbench_on, UnixbenchTest};
+use sm_workloads::unixbench::{run_unixbench, run_unixbench_on, UnixbenchTest};
 use sm_workloads::{httpd, normalized, tlbprobe, WorkloadResult};
 
 /// One stress bar.
@@ -51,14 +51,9 @@ impl TlbDiag {
     }
 }
 
-/// Run the two stress tests.
+/// Run the two stress tests. They are independent and fan out across
+/// threads; bar order is fixed.
 pub fn run(iterations: u32) -> Vec<Bar> {
-    run_on(TlbPreset::default(), iterations)
-}
-
-/// [`run`] on an explicit TLB geometry. The two stress tests are
-/// independent and fan out across threads; bar order is fixed.
-pub fn run_on(tlb: TlbPreset, iterations: u32) -> Vec<Bar> {
     let base = Protection::Unprotected;
     let prot = Protection::SplitMem(ResponseMode::Break);
 
@@ -66,8 +61,8 @@ pub fn run_on(tlb: TlbPreset, iterations: u32) -> Vec<Bar> {
     let (b1, p1) = (base.clone(), prot.clone());
     let jobs: Vec<BarJob> = vec![
         Box::new(move || {
-            let cb = run_unixbench_on(&b1, tlb, UnixbenchTest::PipeContextSwitch, iterations);
-            let cp = run_unixbench_on(&p1, tlb, UnixbenchTest::PipeContextSwitch, iterations);
+            let cb = run_unixbench(&b1, UnixbenchTest::PipeContextSwitch, iterations);
+            let cp = run_unixbench(&p1, UnixbenchTest::PipeContextSwitch, iterations);
             Bar {
                 name: "unixbench pipe-ctxsw".into(),
                 normalized: normalized(&cp, &cb),
@@ -75,8 +70,8 @@ pub fn run_on(tlb: TlbPreset, iterations: u32) -> Vec<Bar> {
             }
         }),
         Box::new(move || {
-            let ab = httpd::run_httpd_on(&base, tlb, 1024, iterations);
-            let ap = httpd::run_httpd_on(&prot, tlb, 1024, iterations);
+            let ab = httpd::run_httpd(&base, 1024, iterations);
+            let ap = httpd::run_httpd(&prot, 1024, iterations);
             Bar {
                 name: "apache (1KB page)".into(),
                 normalized: normalized(&ap, &ab),

@@ -13,9 +13,8 @@
 
 use rayon::prelude::*;
 use sm_core::setup::Protection;
-use sm_machine::TlbPreset;
 use sm_workloads::normalized;
-use sm_workloads::unixbench::{run_unixbench_seeded_on, UnixbenchTest};
+use sm_workloads::unixbench::{run_unixbench_seeded, UnixbenchTest};
 
 /// One sweep point.
 #[derive(Debug, Clone)]
@@ -32,17 +31,12 @@ pub struct Point {
 pub const FRACTIONS: [f64; 7] = [0.0, 0.05, 0.10, 0.25, 0.50, 0.75, 1.0];
 
 /// Run the sweep: `iterations` ctxsw iterations, `seeds` runs per point.
+/// `(fraction, seed)` samples are independent (each owns its seeded
+/// kernel) and fan out across threads; points keep `FRACTIONS` order,
+/// samples keep seed order.
 pub fn run(iterations: u32, seeds: u64) -> Vec<Point> {
-    run_on(TlbPreset::default(), iterations, seeds)
-}
-
-/// [`run`] on an explicit TLB geometry. `(fraction, seed)` samples are
-/// independent (each owns its seeded kernel) and fan out across threads;
-/// points keep `FRACTIONS` order, samples keep seed order.
-pub fn run_on(tlb: TlbPreset, iterations: u32, seeds: u64) -> Vec<Point> {
-    let base = run_unixbench_seeded_on(
+    let base = run_unixbench_seeded(
         &Protection::Unprotected,
-        tlb,
         UnixbenchTest::PipeContextSwitch,
         iterations,
         1,
@@ -52,9 +46,8 @@ pub fn run_on(tlb: TlbPreset, iterations: u32, seeds: u64) -> Vec<Point> {
         .map(|&fraction| {
             let samples: Vec<f64> = (0..seeds)
                 .map(|seed| {
-                    let p = run_unixbench_seeded_on(
+                    let p = run_unixbench_seeded(
                         &Protection::CombinedFraction(fraction),
-                        tlb,
                         UnixbenchTest::PipeContextSwitch,
                         iterations,
                         seed * 7919 + 13,

@@ -31,7 +31,6 @@ use sm_kernel::kernel::{KernelConfig, RunExit};
 use sm_kernel::process::Pid;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
 use sm_machine::chaos::FaultPlan;
-use sm_machine::TlbPreset;
 
 /// Exit status the injected payload reports — seeing it as the attacker's
 /// exit code proves the injected bytes executed.
@@ -122,20 +121,18 @@ pub struct InterferenceRun {
 /// Run the two-guest image under one plan, checking cross-process
 /// invariants between slices. `asid_tlbs` selects ASID-tagged TLBs instead
 /// of the default flush-on-switch model.
-pub fn run_interference_on(
+pub fn run_interference(
     protection: &Protection,
-    tlb: TlbPreset,
     plan: FaultPlan,
     asid_tlbs: bool,
 ) -> InterferenceRun {
     let image = interference_program().image;
-    run_image_on(&image, protection, tlb, plan, asid_tlbs)
+    run_image(&image, protection, plan, asid_tlbs)
 }
 
-fn run_image_on(
+fn run_image(
     image: &ExecImage,
     protection: &Protection,
-    tlb: TlbPreset,
     plan: FaultPlan,
     asid_tlbs: bool,
 ) -> InterferenceRun {
@@ -145,7 +142,7 @@ fn run_image_on(
         asid_tlbs,
         ..KernelConfig::default()
     };
-    let mut k = protection.kernel_on(tlb, kconfig);
+    let mut k = protection.kernel(kconfig);
     let parent = k.spawn(image).expect("interference image spawns");
     let (exit, violations) = invariants::run_with_checks(&mut k, 80_000_000, 100_000);
     let child = k
@@ -192,7 +189,7 @@ pub fn probe(protection: &Protection, asid_tlbs: bool) -> InterferenceCounters {
         asid_tlbs,
         ..KernelConfig::default()
     };
-    let mut k = protection.kernel_on(TlbPreset::default(), kconfig);
+    let mut k = protection.kernel(kconfig);
     let parent = k.spawn(&image).expect("interference image spawns");
     let _ = invariants::run_with_checks(&mut k, 80_000_000, 100_000);
     let mut processes: Vec<ProcessProbe> = k
@@ -244,15 +241,14 @@ pub struct InterferenceCombo {
 /// Sweep `seeds × perturbation plans` for the two-guest image under
 /// `protection`. Combos fan out across threads (each owns its seeded
 /// fault stream and kernel); results are merged in deterministic input
-/// order, byte-identical to [`sweep_interference_serial_on`].
-pub fn sweep_interference_on(
+/// order, byte-identical to [`sweep_interference_serial`].
+pub fn sweep_interference(
     seeds: &[u64],
     protection: &Protection,
-    tlb: TlbPreset,
     asid_tlbs: bool,
 ) -> Vec<InterferenceCombo> {
     let image = interference_program().image;
-    let baseline = run_image_on(&image, protection, tlb, FaultPlan::default(), asid_tlbs);
+    let baseline = run_image(&image, protection, FaultPlan::default(), asid_tlbs);
     let combos: Vec<(u64, NamedPlan)> = seeds
         .iter()
         .flat_map(|&seed| {
@@ -263,7 +259,7 @@ pub fn sweep_interference_on(
         .collect();
     let runs: Vec<InterferenceRun> = combos
         .par_iter()
-        .map(|&(_, np)| run_image_on(&image, protection, tlb, np.plan, asid_tlbs))
+        .map(|&(_, np)| run_image(&image, protection, np.plan, asid_tlbs))
         .collect();
     combos
         .into_iter()
@@ -278,20 +274,19 @@ pub fn sweep_interference_on(
         .collect()
 }
 
-/// Single-threaded [`sweep_interference_on`], kept as the reference the
+/// Single-threaded [`sweep_interference`], kept as the reference the
 /// parallel sweep is tested byte-identical against.
-pub fn sweep_interference_serial_on(
+pub fn sweep_interference_serial(
     seeds: &[u64],
     protection: &Protection,
-    tlb: TlbPreset,
     asid_tlbs: bool,
 ) -> Vec<InterferenceCombo> {
     let image = interference_program().image;
-    let baseline = run_image_on(&image, protection, tlb, FaultPlan::default(), asid_tlbs);
+    let baseline = run_image(&image, protection, FaultPlan::default(), asid_tlbs);
     let mut out = Vec::new();
     for &seed in seeds {
         for np in perturbation_plans(seed) {
-            let run = run_image_on(&image, protection, tlb, np.plan, asid_tlbs);
+            let run = run_image(&image, protection, np.plan, asid_tlbs);
             out.push(InterferenceCombo {
                 plan: np.name,
                 seed,
@@ -311,12 +306,7 @@ mod tests {
 
     #[test]
     fn unprotected_injection_crosses_the_fork_and_runs() {
-        let r = run_interference_on(
-            &Protection::Unprotected,
-            TlbPreset::default(),
-            FaultPlan::default(),
-            false,
-        );
+        let r = run_interference(&Protection::Unprotected, FaultPlan::default(), false);
         assert!(r.attack_succeeded, "verdict: {}", r.verdict);
         assert_eq!(
             r.victim_exit,
@@ -330,9 +320,8 @@ mod tests {
     #[test]
     fn split_memory_detects_the_cross_process_injection() {
         for asid in [false, true] {
-            let r = run_interference_on(
+            let r = run_interference(
                 &Protection::SplitMem(ResponseMode::Break),
-                TlbPreset::default(),
                 FaultPlan::default(),
                 asid,
             );
@@ -347,8 +336,8 @@ mod tests {
     fn parallel_interference_sweep_matches_serial() {
         let seeds = [1u64];
         let split = Protection::SplitMem(ResponseMode::Break);
-        let par = sweep_interference_on(&seeds, &split, TlbPreset::default(), false);
-        let ser = sweep_interference_serial_on(&seeds, &split, TlbPreset::default(), false);
+        let par = sweep_interference(&seeds, &split, false);
+        let ser = sweep_interference_serial(&seeds, &split, false);
         assert_eq!(format!("{par:?}"), format!("{ser:?}"));
     }
 }

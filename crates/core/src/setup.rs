@@ -97,14 +97,8 @@ impl Protection {
     }
 
     /// Machine configuration for this protection (NX bit enabled only
-    /// where needed, mirroring legacy vs. recent hardware), on the default
-    /// TLB geometry.
-    pub fn machine_config(&self) -> MachineConfig {
-        self.machine_config_on(TlbPreset::default())
-    }
-
-    /// Machine configuration for this protection on an explicit TLB
-    /// geometry (e.g. [`TlbPreset::pentium3`] for the paper's testbed).
+    /// where needed, mirroring legacy vs. recent hardware) on an explicit
+    /// TLB geometry (e.g. [`TlbPreset::pentium3`] for the paper's testbed).
     pub fn machine_config_on(&self, tlb: TlbPreset) -> MachineConfig {
         MachineConfig {
             nx_enabled: self.needs_nx(),
@@ -227,17 +221,10 @@ mod tests {
 
     #[test]
     fn nx_configs_enable_the_bit() {
-        assert!(Protection::Nx.machine_config().nx_enabled);
-        assert!(
-            Protection::Combined(ResponseMode::Break)
-                .machine_config()
-                .nx_enabled
-        );
-        assert!(
-            !Protection::SplitMem(ResponseMode::Break)
-                .machine_config()
-                .nx_enabled
-        );
+        let nx = |p: Protection| p.machine_config_on(TlbPreset::default()).nx_enabled;
+        assert!(nx(Protection::Nx));
+        assert!(nx(Protection::Combined(ResponseMode::Break)));
+        assert!(!nx(Protection::SplitMem(ResponseMode::Break)));
     }
 
     #[test]

@@ -196,14 +196,6 @@ pub fn run_nbench_on(
     )
 }
 
-/// Run the whole suite.
-pub fn run_nbench_suite(protection: &Protection, iterations: u32) -> Vec<WorkloadResult> {
-    NbenchKernel::ALL
-        .iter()
-        .map(|nk| run_nbench(protection, *nk, iterations))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

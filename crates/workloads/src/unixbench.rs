@@ -404,23 +404,6 @@ pub fn run_unixbench_kernel(
     )
 }
 
-/// Run the full suite.
-pub fn run_unixbench_suite(protection: &Protection, iterations: u32) -> Vec<WorkloadResult> {
-    run_unixbench_suite_on(protection, TlbPreset::default(), iterations)
-}
-
-/// [`run_unixbench_suite`] on an explicit TLB geometry.
-pub fn run_unixbench_suite_on(
-    protection: &Protection,
-    tlb: TlbPreset,
-    iterations: u32,
-) -> Vec<WorkloadResult> {
-    UnixbenchTest::ALL
-        .iter()
-        .map(|t| run_unixbench_on(protection, tlb, *t, iterations))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

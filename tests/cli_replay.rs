@@ -161,11 +161,43 @@ fn bad_stop_seq_is_a_usage_error() {
     assert_typed_failure(&out, "--stop-seq needs a value");
 }
 
-/// An unknown argument is a usage error and nothing runs: the removed
-/// pipeline A/B flag, a typo, a stray word, and a typo after a flag's
-/// value (which is not itself checked as a flag).
+/// Every bench binary, in the order they sit in `crates/bench/src/bin`.
+const BINS: [(&str, &str); 13] = [
+    ("ablation", env!("CARGO_BIN_EXE_ablation")),
+    ("all_experiments", env!("CARGO_BIN_EXE_all_experiments")),
+    ("chaos", env!("CARGO_BIN_EXE_chaos")),
+    (
+        "fig5_response_modes",
+        env!("CARGO_BIN_EXE_fig5_response_modes"),
+    ),
+    ("fig6_normalized", env!("CARGO_BIN_EXE_fig6_normalized")),
+    ("fig7_stress", env!("CARGO_BIN_EXE_fig7_stress")),
+    ("fig8_apache_sweep", env!("CARGO_BIN_EXE_fig8_apache_sweep")),
+    (
+        "fig9_split_fraction",
+        env!("CARGO_BIN_EXE_fig9_split_fraction"),
+    ),
+    ("fleet", env!("CARGO_BIN_EXE_fleet")),
+    ("memory_overhead", env!("CARGO_BIN_EXE_memory_overhead")),
+    ("profile_fig6", env!("CARGO_BIN_EXE_profile_fig6")),
+    ("table1", env!("CARGO_BIN_EXE_table1")),
+    ("table2", env!("CARGO_BIN_EXE_table2")),
+];
+
+/// An unknown argument is a usage error and nothing runs: every bench
+/// binary rejects `--bogus` with exit 2 and an empty stdout. For `chaos`
+/// also the removed pipeline A/B flag, a typo, a stray word, and a typo
+/// after a flag's value (which is not itself checked as a flag); for
+/// `profile_fig6` the removed `--pentium3`.
 #[test]
 fn unknown_arguments_are_usage_errors() {
+    for (name, bin) in BINS {
+        let out = Command::new(bin).arg("--bogus").output().expect("bin runs");
+        assert_typed_failure(&out, &format!("{name}: unrecognised argument --bogus"));
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        assert!(out.stdout.is_empty(), "{name} ran before rejecting --bogus");
+    }
+
     let dump = scratch("typo.smcdump");
     let _ = std::fs::remove_file(&dump);
     let path = dump.to_str().unwrap();
@@ -181,6 +213,53 @@ fn unknown_arguments_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2));
     }
     assert!(!dump.exists(), "a usage error must not write the dump");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_profile_fig6"))
+        .arg("--pentium3")
+        .output()
+        .expect("profile_fig6 bin runs");
+    assert_typed_failure(&out, "unrecognised argument --pentium3");
+    assert_eq!(out.status.code(), Some(2));
+}
+
+/// `fleet` checks its whole command line before it simulates anything:
+/// an unknown flag, a valued flag followed by another flag (which must
+/// not become the `--report` path) and a trailing valued flag (which
+/// must not fall back to the default) are usage errors with exit 2.
+#[test]
+fn fleet_malformed_arguments_are_usage_errors() {
+    let dir = scratch("fleet_args");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let small = ["--tenants", "1", "--requests", "1", "--cell-tenants", "1"];
+    let cases: [(Vec<&str>, &str); 3] = [
+        (
+            [&small[..], &["--bogus-flag"]].concat(),
+            "unrecognised argument --bogus-flag",
+        ),
+        (
+            [&small[..], &["--report", "--quick"]].concat(),
+            "--report needs a value",
+        ),
+        (
+            ["--requests", "1", "--cell-tenants", "1", "--tenants"].to_vec(),
+            "--tenants needs a value",
+        ),
+    ];
+    for (args, needle) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("fleet bin runs");
+        assert_typed_failure(&out, needle);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: the fleet ran");
+    }
+    assert!(
+        !dir.join("--quick").exists(),
+        "--quick was taken as the report path"
+    );
 }
 
 #[test]

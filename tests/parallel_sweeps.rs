@@ -35,9 +35,8 @@ fn lines(results: &[chaos::ComboResult]) -> Vec<String> {
 fn parallel_sweep_is_byte_identical_to_serial() {
     let seeds = [1u64, 2];
     let split = Protection::SplitMem(ResponseMode::Break);
-    let tlb = TlbPreset::default();
-    let serial = lines(&chaos::sweep_serial_on(&seeds, &scenarios(), &split, tlb));
-    let parallel = lines(&chaos::sweep_on(&seeds, &scenarios(), &split, tlb));
+    let serial = lines(&chaos::sweep_serial(&seeds, &scenarios(), &split));
+    let parallel = lines(&chaos::sweep(&seeds, &scenarios(), &split));
     assert_eq!(serial, parallel);
     // The sweep must also be exhaustive: every scenario × seed × plan combo
     // appears exactly once, in scenario-major order.
@@ -63,20 +62,15 @@ fn interference_sweep_is_byte_identical_to_serial_and_across_runs() {
     use sm_bench::interference;
     let seeds = [2u64];
     let split = Protection::SplitMem(ResponseMode::Break);
-    let tlb = TlbPreset::default();
     let render = |combos: &[interference::InterferenceCombo]| -> Vec<String> {
         combos.iter().map(|c| format!("{c:?}")).collect()
     };
-    let serial = render(&interference::sweep_interference_serial_on(
-        &seeds, &split, tlb, false,
+    let serial = render(&interference::sweep_interference_serial(
+        &seeds, &split, false,
     ));
-    let parallel = render(&interference::sweep_interference_on(
-        &seeds, &split, tlb, false,
-    ));
+    let parallel = render(&interference::sweep_interference(&seeds, &split, false));
     assert_eq!(serial, parallel);
-    let again = render(&interference::sweep_interference_on(
-        &seeds, &split, tlb, false,
-    ));
+    let again = render(&interference::sweep_interference(&seeds, &split, false));
     assert_eq!(parallel, again);
     assert_eq!(
         parallel.len(),

@@ -1,13 +1,17 @@
 //! Performance-shape tests: the paper's qualitative claims must hold on
 //! every run (absolute numbers are testbed-specific; shapes are not).
 
+use rayon::prelude::*;
 use sm_bench::fig6::{self, Fig6Params};
 use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
 use sm_machine::TlbPreset;
-use sm_workloads::nbench::{run_nbench, NbenchKernel};
-use sm_workloads::unixbench::{run_unixbench, UnixbenchTest};
-use sm_workloads::{httpd, normalized};
+use sm_workloads::nbench::{run_nbench, run_nbench_on, NbenchKernel};
+use sm_workloads::unixbench::{
+    run_unixbench, run_unixbench_on, run_unixbench_seeded_on, UnixbenchTest,
+};
+use sm_workloads::{gzip, httpd, normalized, WorkloadResult};
+use std::sync::Arc;
 
 #[test]
 fn fig6_ordering_holds() {
@@ -98,45 +102,76 @@ fn fig9_endpoints_match_the_papers_claim() {
     }
 }
 
-/// The paper ran on set-associative Pentium III TLBs; the figures'
-/// qualitative shapes must survive the move from the fully-associative
-/// compat preset to that geometry.
+/// The paper ran on set-associative Pentium III TLBs; the default preset
+/// is one fully-associative set. For Figs 6–9 the choice changes nothing:
+/// every sub-run of the quick figure tests above gives the same cycles,
+/// work units, and machine, TLB (each 3C miss class and eviction) and
+/// kernel counters on both geometries. §4.6's overhead is paid per TLB
+/// flush, and these working sets are small and VPN-contiguous, so no set
+/// overflows. Where a working set does collide, geometry matters: see
+/// `fig7_diagnostics_show_conflict_misses_only_when_sets_exist`.
 #[test]
-fn fig6_ordering_holds_on_the_pentium3_geometry() {
-    let bars = fig6::run(Fig6Params::quick().on(TlbPreset::pentium3()));
-    let get = |name: &str| {
-        bars.iter()
-            .find(|b| b.name.contains(name))
-            .unwrap_or_else(|| panic!("missing bar {name}"))
-            .normalized
-    };
-    let nbench = get("nbench");
-    let apache = get("apache");
-    let unixbench = get("unixbench");
-    assert!(nbench > 0.9, "compute suite too slow: {nbench}");
-    assert!(
-        nbench >= apache && apache >= unixbench,
-        "ordering violated: nbench {nbench:.3} apache {apache:.3} unixbench {unixbench:.3}"
-    );
-    for b in &bars {
-        assert!(
-            b.normalized > 0.4 && b.normalized <= 1.02,
-            "{} out of band: {:.3}",
-            b.name,
-            b.normalized
-        );
+fn figs_6_to_9_sub_runs_are_identical_on_the_pentium3_geometry() {
+    type Run = Arc<dyn Fn(&Protection, TlbPreset) -> WorkloadResult + Send + Sync>;
+    // Each of these runs under both of Figs 6–8's protections: Fig. 6 at
+    // `Fig6Params::quick()`, Fig. 7 at 30 iterations, Fig. 8 at 15
+    // requests.
+    let q = Fig6Params::quick();
+    let mut paired: Vec<Run> = vec![
+        Arc::new(move |p, tlb| httpd::run_httpd_on(p, tlb, 32 * 1024, q.requests)),
+        Arc::new(move |p, tlb| gzip::run_gzip_on(p, tlb, q.gzip_kb)),
+    ];
+    for nk in NbenchKernel::ALL {
+        let n = fig6::nbench_iterations_for(nk, q.nbench_iters);
+        paired.push(Arc::new(move |p, tlb| run_nbench_on(p, tlb, nk, n)));
     }
-}
+    for t in UnixbenchTest::ALL {
+        let n = fig6::ub_iterations_for(t, q.ub_iters);
+        paired.push(Arc::new(move |p, tlb| run_unixbench_on(p, tlb, t, n)));
+    }
+    paired.push(Arc::new(|p, tlb| {
+        run_unixbench_on(p, tlb, UnixbenchTest::PipeContextSwitch, 30)
+    }));
+    paired.push(Arc::new(|p, tlb| httpd::run_httpd_on(p, tlb, 1024, 30)));
+    for page in sm_bench::fig8::PAGE_SIZES {
+        paired.push(Arc::new(move |p, tlb| {
+            httpd::run_httpd_on(p, tlb, page, 15)
+        }));
+    }
+    let mut runs: Vec<(Protection, Run)> = Vec::new();
+    for p in [
+        Protection::Unprotected,
+        Protection::SplitMem(ResponseMode::Break),
+    ] {
+        runs.extend(paired.iter().map(|r| (p.clone(), r.clone())));
+    }
+    // Fig. 9 at 30 iterations and 4 seeds: its unprotected base run on
+    // seed 1, then every fraction on `fig9::run`'s per-sample seeds.
+    let ctxsw = |seed: u64| -> Run {
+        Arc::new(move |p, tlb| {
+            run_unixbench_seeded_on(p, tlb, UnixbenchTest::PipeContextSwitch, 30, seed)
+        })
+    };
+    runs.push((Protection::Unprotected, ctxsw(1)));
+    for f in sm_bench::fig9::FRACTIONS {
+        for sample in 0..4u64 {
+            runs.push((Protection::CombinedFraction(f), ctxsw(sample * 7919 + 13)));
+        }
+    }
+    assert_eq!(runs.len(), 73);
 
-#[test]
-fn fig7_stress_bound_holds_on_the_pentium3_geometry() {
-    for bar in sm_bench::fig7::run_on(TlbPreset::pentium3(), 30) {
-        assert!(
-            bar.normalized < 0.56,
-            "{} not stressed enough: {:.3}",
-            bar.name,
-            bar.normalized
-        );
+    let results: Vec<(WorkloadResult, WorkloadResult)> = runs
+        .par_iter()
+        .map(|(p, run)| (run(p, TlbPreset::default()), run(p, TlbPreset::pentium3())))
+        .collect();
+    for (i, (flat, p3)) in results.iter().enumerate() {
+        let what = format!("sub-run {i} ({} under {})", flat.name, flat.protection);
+        assert_eq!(flat.cycles, p3.cycles, "{what}: cycles");
+        assert_eq!(flat.units, p3.units, "{what}: units");
+        assert_eq!(flat.machine, p3.machine, "{what}: machine counters");
+        assert_eq!(flat.itlb, p3.itlb, "{what}: I-TLB counters");
+        assert_eq!(flat.dtlb, p3.dtlb, "{what}: D-TLB counters");
+        assert_eq!(flat.kernel, p3.kernel, "{what}: kernel counters");
     }
 }
 
@@ -160,38 +195,6 @@ fn fig7_diagnostics_show_conflict_misses_only_when_sets_exist() {
             d.name
         );
     }
-}
-
-#[test]
-fn fig8_curve_shape_holds_on_the_pentium3_geometry() {
-    let points = sm_bench::fig8::run_on(TlbPreset::pentium3(), 15);
-    assert!(points.first().unwrap().normalized < 0.6);
-    assert!(points.last().unwrap().normalized > 0.85);
-    for w in points.windows(2) {
-        assert!(
-            w[1].normalized >= w[0].normalized - 0.05,
-            "curve dipped: {}KB {:.3} -> {}KB {:.3}",
-            w[0].page_size / 1024,
-            w[0].normalized,
-            w[1].page_size / 1024,
-            w[1].normalized
-        );
-    }
-}
-
-#[test]
-fn fig9_endpoints_hold_on_the_pentium3_geometry() {
-    let points = sm_bench::fig9::run_on(TlbPreset::pentium3(), 30, 4);
-    let at = |f: f64| {
-        points
-            .iter()
-            .find(|p| (p.fraction - f).abs() < 1e-9)
-            .unwrap()
-            .normalized
-    };
-    assert!(at(0.0) > 0.97, "0%: {:.3}", at(0.0));
-    assert!(at(0.10) > 0.8, "10%: {:.3}", at(0.10));
-    assert!(at(1.0) < 0.6, "100%: {:.3}", at(1.0));
 }
 
 #[test]

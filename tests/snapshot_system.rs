@@ -273,9 +273,9 @@ fn snapshot_bytes_identical_across_thread_counts() {
     let lines = |combos: &[chaos::ComboResult]| -> Vec<String> {
         combos.iter().map(|c| format!("{c:?}")).collect()
     };
-    let parallel = chaos::sweep_on(&[1], &[scenario], &split_break(), TlbPreset::default());
+    let parallel = chaos::sweep(&[1], &[scenario], &split_break());
     let a = make();
-    let serial = chaos::sweep_serial_on(&[1], &[scenario], &split_break(), TlbPreset::default());
+    let serial = chaos::sweep_serial(&[1], &[scenario], &split_break());
     let b = make();
     assert_eq!(lines(&parallel), lines(&serial));
     assert_eq!(a.0, b.0, "snapshot bytes differ across runs/thread counts");

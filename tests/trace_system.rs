@@ -184,7 +184,7 @@ fn golden_trace_is_byte_identical_across_runs() {
 fn traced_chaos_rerun_matches_untraced_verdict() {
     let plan = chaos::plan_by_name("kitchen-sink", 3).expect("plan exists");
     let scenario = Scenario::Wilander(canonical_case());
-    let untraced = chaos::run_scenario_on(scenario, &split_break(), TlbPreset::default(), plan);
+    let untraced = chaos::run_scenario(scenario, &split_break(), plan);
     let (traced, jsonl) = chaos::run_scenario_traced_on(
         scenario,
         &split_break(),
