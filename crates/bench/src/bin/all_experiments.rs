@@ -185,7 +185,6 @@ fn main() {
     let fleet = summary.section("fleet", || {
         let cfg = sm_bench::fleet::FleetConfig {
             tenants: 120,
-            shards: 4,
             requests_per_tenant: 4,
             ..sm_bench::fleet::FleetConfig::default()
         };
@@ -201,7 +200,6 @@ fn main() {
         sm_bench::summary::FleetProbe {
             tenants: cfg.tenants,
             cells: cfg.cells(),
-            shards: cfg.shards,
             completed: result.completed(),
             dropped: result.dropped(),
             p50: all.percentile(50),

@@ -115,7 +115,6 @@ fn fleet_scenarios() -> i32 {
 
     let base = FleetConfig {
         tenants: 40,
-        shards: 2,
         requests_per_tenant: 4,
         trace: true,
         check_invariants: true,
@@ -192,7 +191,6 @@ fn fleet_scenarios() -> i32 {
     // through the PR-5 validator — must match an uninterrupted twin.
     let kill_cfg = FleetConfig {
         tenants: 5,
-        shards: 1,
         requests_per_tenant: 8,
         trace: true,
         check_invariants: true,

@@ -1,11 +1,12 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 //! Fleet-scale multi-tenant simulation driver.
 //!
-//! Runs hundreds of tenants across sharded kernel cells under a seeded
-//! open-loop arrival stream and prints the per-kind/per-fleet report
-//! (latency percentiles, throughput, SLO misses, detection rates,
-//! degradation events). Deterministic: the report is byte-identical for a
-//! fixed seed regardless of `RAYON_NUM_THREADS` or `--shards`.
+//! Runs hundreds of tenants across kernel cells, each driven to
+//! completion on its own, under a seeded open-loop arrival stream and
+//! prints the per-kind/per-fleet report (latency percentiles,
+//! throughput, SLO misses, detection rates, degradation events).
+//! Deterministic: the report is byte-identical for a fixed seed
+//! regardless of `RAYON_NUM_THREADS`.
 //!
 //! ```text
 //! cargo run --release -p sm-bench --bin fleet -- --tenants 500 --profile burst
@@ -13,25 +14,24 @@
 //!
 //! Flags:
 //! - `--tenants N` total tenant count (default 500)
-//! - `--shards N` parallel execution groups (default 4)
-//! - `--cell-tenants N` tenants per kernel cell (default 5)
+//! - `--cell-tenants N` tenants per kernel cell, at least 1 (default 5)
 //! - `--seed N` master seed (default 42)
 //! - `--profile poisson|burst|ramp` arrival shape (default poisson)
 //! - `--requests N` requests per tenant (default 6)
 //! - `--mean N` mean inter-arrival cycles (default 120000)
 //! - `--mix standard|forkstorm|oomramp` population mix (default standard)
 //! - `--protection unprotected|split|observe|nx|combined` (default split)
-//! - `--frames N` physical frames per cell (default 512)
+//! - `--frames N` physical frames per cell, at least 1 (default 512)
 //! - `--slo N` latency SLO in cycles (default 400000)
 //! - `--pentium3` use the paper testbed's TLB geometry
 //! - `--asid` ASID-tagged TLBs instead of flush-on-switch
 //! - `--trace` per-cell tracing + stream-order checking
 //! - `--check-invariants` run the invariant checker every driver window
 //! - `--per-tenant` also print the per-tenant lines
-//! - `--serial` use the single-threaded reference runner
 //! - `--report PATH` write the full report (fleet + per-tenant) to a file;
 //!   a path that cannot be written fails before the run, with exit 1
-//! - `--quick` small smoke population (60 tenants, CI-sized)
+//! - `--quick` small smoke population: the defaults of `--tenants` and
+//!   `--requests` become 60 and 4 (CI-sized); explicit flags still win
 //!
 //! An unknown argument, or a valued flag without its value, is a usage
 //! error: exit 2 before anything runs. Otherwise exits non-zero on
@@ -45,13 +45,12 @@ use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
 use sm_machine::TlbPreset;
 
-const USAGE: &str =
-    "usage: fleet [--quick] [--tenants N] [--shards N] [--cell-tenants N] [--seed N]
+const USAGE: &str = "usage: fleet [--quick] [--tenants N] [--cell-tenants N] [--seed N]
              [--profile poisson|burst|ramp] [--requests N] [--mean N]
              [--mix standard|forkstorm|oomramp]
              [--protection unprotected|split|observe|nx|combined]
              [--frames N] [--slo N] [--pentium3] [--asid] [--trace]
-             [--check-invariants] [--per-tenant] [--serial] [--report PATH]";
+             [--check-invariants] [--per-tenant] [--report PATH]";
 
 fn usage_error(msg: &str) -> ! {
     cli::usage_error("fleet", USAGE, msg)
@@ -84,11 +83,9 @@ fn main() {
             "--trace",
             "--check-invariants",
             "--per-tenant",
-            "--serial",
         ],
         &[
             "--tenants",
-            "--shards",
             "--cell-tenants",
             "--seed",
             "--profile",
@@ -102,13 +99,13 @@ fn main() {
         ],
     );
     let has = |f: &str| args.iter().any(|a| a == f);
+    let quick = has("--quick");
 
     let mut cfg = FleetConfig {
-        tenants: parse_or_die(&args, "--tenants", 500),
-        shards: parse_or_die(&args, "--shards", 4),
+        tenants: parse_or_die(&args, "--tenants", if quick { 60 } else { 500 }),
         tenants_per_cell: parse_or_die(&args, "--cell-tenants", 5),
         seed: parse_or_die(&args, "--seed", 42),
-        requests_per_tenant: parse_or_die(&args, "--requests", 6),
+        requests_per_tenant: parse_or_die(&args, "--requests", if quick { 4 } else { 6 }),
         mean_interarrival: parse_or_die(&args, "--mean", 120_000),
         phys_frames: parse_or_die(&args, "--frames", 512),
         slo_cycles: parse_or_die(&args, "--slo", 400_000),
@@ -117,10 +114,11 @@ fn main() {
         asid_tlbs: has("--asid"),
         ..FleetConfig::default()
     };
-    if has("--quick") {
-        cfg.tenants = 60;
-        cfg.shards = 3;
-        cfg.requests_per_tenant = 4;
+    if cfg.tenants_per_cell == 0 {
+        usage_error("--cell-tenants must be at least 1");
+    }
+    if cfg.phys_frames == 0 {
+        usage_error("--frames must be at least 1");
     }
     if let Some(p) = value(&args, "--profile") {
         cfg.profile =
@@ -147,11 +145,7 @@ fn main() {
         cli::check_writable("fleet", path);
     }
 
-    let result = if has("--serial") {
-        fleet::run_serial(&cfg)
-    } else {
-        fleet::run(&cfg)
-    };
+    let result = fleet::run(&cfg);
 
     print!("{}", result.render());
     if has("--per-tenant") {

@@ -3,8 +3,8 @@
 //! Every tenant gets its own absolute-cycle arrival schedule, precomputed
 //! from a per-tenant RNG fork before any kernel runs. The schedule is a
 //! pure function of `(fleet seed, tenant id, profile, request count)` —
-//! it cannot depend on shard layout, thread count, or anything the
-//! simulation does — which is half of the fleet determinism argument.
+//! it cannot depend on thread count, the order cells run in, or anything
+//! the simulation does — which is half of the fleet determinism argument.
 //!
 //! Integer-only sampling: the Poisson profile draws exponential
 //! inter-arrivals through a precomputed 64-entry quantile table in 10.10

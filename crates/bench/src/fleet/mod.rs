@@ -12,16 +12,16 @@
 //! # Topology and determinism
 //!
 //! Tenant → cell assignment is `tid / tenants_per_cell` — a pure function
-//! of the config, independent of shard count. A *shard* is an execution
-//! group: cell `i` belongs to shard `i % shards`, each shard steps its
-//! cells round-robin in bounded cycle windows, and shards run
-//! rayon-parallel with results merged in input order. Because cells share
-//! no state, per-cell execution is bit-identical whether its shard runs
-//! first, last, or concurrently — so the fleet report is byte-identical
-//! across `RAYON_NUM_THREADS` *and* across shard counts for a fixed seed
-//! (both pinned by `tests/fleet.rs`). Co-tenant interference lives
-//! *inside* a cell, where it is deterministic by the kernel's own
-//! round-robin scheduler.
+//! of the config. The cell is the only unit of work: one function boots
+//! a cell, drives it in `window_cycles` windows to completion, checks its
+//! trace order and returns its outcome, dropping the kernel before the
+//! worker takes the next cell. [`run`] maps it over the cell ids
+//! rayon-parallel, [`run_serial`] in order; outcomes merge in cell order.
+//! Because cells share no state, a cell's execution is bit-identical
+//! whichever thread runs it and whenever, so the fleet report is
+//! byte-identical across `RAYON_NUM_THREADS` for a fixed seed (pinned by
+//! `tests/fleet.rs`). Co-tenant interference lives *inside* a cell, where
+//! it is deterministic by the kernel's own round-robin scheduler.
 
 pub mod arrivals;
 pub mod guests;
@@ -97,8 +97,6 @@ impl Mix {
 pub struct FleetConfig {
     /// Total tenant count.
     pub tenants: u32,
-    /// Execution groups cells are distributed over (rayon-parallel).
-    pub shards: u32,
     /// Tenants hosted per kernel instance.
     pub tenants_per_cell: u32,
     /// Master seed; every cell kernel and tenant stream forks from it.
@@ -126,8 +124,10 @@ pub struct FleetConfig {
     /// Per-cell simulated-cycle budget; unserved arrivals past it count
     /// as dropped.
     pub horizon_cycles: u64,
-    /// Round-robin window: how many cycles a shard advances one cell
-    /// before stepping the next.
+    /// Driver window: a cell runs at most this many cycles per kernel
+    /// `run` call. A window edge ends the call and re-queues the running
+    /// process, so the window is part of the modelled schedule: changing
+    /// it changes the timeline.
     pub window_cycles: u64,
     /// Enable per-cell tracing (PROC|DETECT) and stream-order checking.
     pub trace: bool,
@@ -140,7 +140,6 @@ impl Default for FleetConfig {
     fn default() -> FleetConfig {
         FleetConfig {
             tenants: 500,
-            shards: 4,
             tenants_per_cell: 5,
             seed: 42,
             profile: Profile::Poisson,
@@ -163,18 +162,23 @@ impl Default for FleetConfig {
 impl FleetConfig {
     /// Number of cells this config spreads its tenants over.
     pub fn cells(&self) -> u32 {
-        self.tenants.div_ceil(self.tenants_per_cell.max(1))
+        self.tenants.div_ceil(self.per_cell())
+    }
+
+    /// Tenants a cell hosts: `tenants_per_cell`, at least one, so every
+    /// tenant lands in some cell.
+    fn per_cell(&self) -> u32 {
+        self.tenants_per_cell.max(1)
     }
 
     /// One-line config echo pinned at the top of the report (part of the
     /// byte-identity surface).
     pub fn header(&self) -> String {
         format!(
-            "fleet: tenants={} cells={} shards={} per-cell={} seed={} profile={} reqs={} mean={} mix={} protection={} tlb={:?} asid={} frames={} slo={}",
+            "fleet: tenants={} cells={} per-cell={} seed={} profile={} reqs={} mean={} mix={} protection={} tlb={:?} asid={} frames={} slo={}",
             self.tenants,
             self.cells(),
-            self.shards,
-            self.tenants_per_cell,
+            self.per_cell(),
             self.seed,
             self.profile.label(),
             self.requests_per_tenant,
@@ -233,7 +237,7 @@ pub struct FleetResult {
     /// Trace stream-order violations (only with [`FleetConfig::trace`]).
     pub trace_violations: Vec<String>,
     /// FNV-1a digest of the cross-cell merged event timeline, ordered by
-    /// `(cycles, cell, intra-cell index)` — the cross-shard event-order
+    /// `(cycles, cell, intra-cell index)` — the fleet's event-order
     /// check: any reordering, dropped event or cycle drift moves it.
     pub timeline_digest: u64,
 }
@@ -284,7 +288,7 @@ impl FleetResult {
 
     /// Aggregate report: config header, per-kind table, fleet totals.
     /// Integer-only arithmetic end to end, so the string is byte-identical
-    /// across platforms, thread counts and shard counts.
+    /// across platforms and thread counts.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&self.header);
@@ -429,12 +433,8 @@ struct Cell {
     /// Pids with an `AttackDetected` logged for the current request.
     detected_pids: BTreeSet<u32>,
     ev_cursor: usize,
-    horizon: u64,
-    window_end: u64,
     done: bool,
-    check_invariants: bool,
     violations: Vec<String>,
-    trace_violations: Vec<String>,
     /// FNV-1a over this cell's `(cycles, event-kind, pid, code)` stream.
     timeline: Vec<(u64, u64)>,
 }
@@ -462,8 +462,8 @@ impl Cell {
             ..MachineConfig::default()
         };
         let k = Kernel::new(mconfig, kconfig, cfg.protection.engine());
-        let lo = id * cfg.tenants_per_cell;
-        let hi = (lo + cfg.tenants_per_cell).min(cfg.tenants);
+        let lo = id * cfg.per_cell();
+        let hi = (lo + cfg.per_cell()).min(cfg.tenants);
         let tenants = (lo..hi)
             .map(|tid| {
                 let kind = cfg.mix.kind_of(tid);
@@ -505,12 +505,8 @@ impl Cell {
             owner: BTreeMap::new(),
             detected_pids: BTreeSet::new(),
             ev_cursor: 0,
-            horizon: cfg.horizon_cycles,
-            window_end: 0,
             done: false,
-            check_invariants: cfg.check_invariants,
             violations: Vec::new(),
-            trace_violations: Vec::new(),
             timeline: Vec::new(),
         }
     }
@@ -621,12 +617,16 @@ impl Cell {
         }
     }
 
-    /// Advance this cell until `window_end`, the horizon, or completion.
-    fn pump(&mut self, images: &[ExecImage], slo: u64) {
-        while !self.done && self.k.sys.machine.cycles < self.window_end {
+    /// One driver window: advance this cell `window_cycles` past its
+    /// clock, or less if it reaches the horizon or runs out of work. The
+    /// runner and the shard-kill probe step cells only through here.
+    fn step_window(&mut self, images: &[ExecImage], cfg: &FleetConfig) {
+        let window_end = self.k.sys.machine.cycles + cfg.window_cycles;
+        let horizon = cfg.horizon_cycles;
+        while !self.done && self.k.sys.machine.cycles < window_end {
             let next_idle_arrival = self.spawn_due(images);
             let now = self.k.sys.machine.cycles;
-            if now >= self.horizon {
+            if now >= horizon {
                 self.finish_at_horizon();
                 break;
             }
@@ -640,7 +640,7 @@ impl Cell {
                     Some(due) => {
                         // Idle: fast-forward the simulated clock to the
                         // next arrival (bounded by window and horizon).
-                        let target = due.min(self.window_end).min(self.horizon);
+                        let target = due.min(window_end).min(horizon);
                         if target > now {
                             self.k.sys.charge(target - now);
                         }
@@ -653,21 +653,27 @@ impl Cell {
             }
             // Run until the next idle tenant's arrival would be due, the
             // window closes, or the horizon hits — whichever is first.
-            let until = self
-                .window_end
-                .min(self.horizon)
+            let until = window_end
+                .min(horizon)
                 .min(next_idle_arrival.unwrap_or(u64::MAX));
             let budget = until.saturating_sub(now).max(1);
             let _ = self.k.run(budget);
-            self.drain_events(slo);
-            if self.check_invariants {
+            self.drain_events(cfg.slo_cycles);
+            if cfg.check_invariants {
                 for v in sm_core::invariants::check(&self.k) {
                     self.violations.push(format!("cell {}: {v}", self.id));
                 }
             }
         }
-        if !self.done && self.k.sys.machine.cycles >= self.horizon {
+        if !self.done && self.k.sys.machine.cycles >= horizon {
             self.finish_at_horizon();
+        }
+    }
+
+    /// Step windows until the cell is done.
+    fn drive_to_completion(&mut self, images: &[ExecImage], cfg: &FleetConfig) {
+        while !self.done {
+            self.step_window(images, cfg);
         }
     }
 
@@ -680,13 +686,6 @@ impl Cell {
             t.in_flight = None;
         }
         self.done = true;
-    }
-
-    /// Post-run trace stream-order check (PR 5 validator, per cell).
-    fn check_trace(&mut self) {
-        for v in self.k.sys.machine.tracer.check_order(true) {
-            self.trace_violations.push(format!("cell {}: {v}", self.id));
-        }
     }
 }
 
@@ -702,70 +701,56 @@ fn build_images() -> Vec<ExecImage> {
     out
 }
 
-/// Drive one shard's cells round-robin in bounded cycle windows until all
-/// are done.
-fn drive_shard(cells: &mut [Cell], images: &[ExecImage], cfg: &FleetConfig) {
-    loop {
-        let mut all_done = true;
-        for cell in cells.iter_mut() {
-            if cell.done {
-                continue;
-            }
-            cell.window_end = cell.k.sys.machine.cycles + cfg.window_cycles;
-            cell.pump(images, cfg.slo_cycles);
-            if !cell.done {
-                all_done = false;
-            }
+/// What a finished cell leaves behind for the fleet report: everything
+/// but its kernel.
+struct CellOutcome {
+    tenants: Vec<TenantReport>,
+    timeline: Vec<(u64, u64)>,
+    violations: Vec<String>,
+    trace_violations: Vec<String>,
+    /// The cell's final simulated cycle count.
+    cycles: u64,
+}
+
+/// Boot cell `id`, drive it to completion, check its trace stream order
+/// (with [`FleetConfig::trace`]) and return its outcome. The kernel is
+/// dropped on return, so a worker holds at most one kernel at a time.
+fn run_cell(cfg: &FleetConfig, images: &[ExecImage], id: u32) -> CellOutcome {
+    let mut cell = Cell::new(cfg, id);
+    cell.drive_to_completion(images, cfg);
+    let mut trace_violations = Vec::new();
+    if cfg.trace {
+        for v in cell.k.sys.machine.tracer.check_order(true) {
+            trace_violations.push(format!("cell {id}: {v}"));
         }
-        if all_done {
-            return;
-        }
+    }
+    CellOutcome {
+        tenants: cell.tenants.into_iter().map(|t| t.report).collect(),
+        timeline: cell.timeline,
+        violations: cell.violations,
+        trace_violations,
+        cycles: cell.k.sys.machine.cycles,
     }
 }
 
 fn run_inner(cfg: &FleetConfig, parallel: bool) -> FleetResult {
     let images = build_images();
-    let cells: Vec<Cell> = (0..cfg.cells()).map(|c| Cell::new(cfg, c)).collect();
-    // Shard s owns cells {s, s+shards, s+2*shards, ...}: an execution
-    // grouping only — cells share no state, so the grouping (and the
-    // thread that happens to run it) cannot change any cell's outcome.
-    let shards = cfg.shards.max(1) as usize;
-    let mut groups: Vec<Vec<Cell>> = (0..shards).map(|_| Vec::new()).collect();
-    for (i, cell) in cells.into_iter().enumerate() {
-        groups[i % shards].push(cell);
-    }
-    let driven: Vec<Vec<Cell>> = if parallel {
-        groups
-            .into_par_iter()
-            .map(|mut g| {
-                drive_shard(&mut g, &images, cfg);
-                g
-            })
-            .collect()
+    let ids: Vec<u32> = (0..cfg.cells()).collect();
+    let run = |id| run_cell(cfg, &images, id);
+    // Both maps return outcomes in cell order, whichever thread ran which
+    // cell.
+    let cells: Vec<CellOutcome> = if parallel {
+        ids.into_par_iter().map(run).collect()
     } else {
-        groups
-            .into_iter()
-            .map(|mut g| {
-                drive_shard(&mut g, &images, cfg);
-                g
-            })
-            .collect()
+        ids.into_iter().map(run).collect()
     };
-    let mut cells: Vec<Cell> = driven.into_iter().flatten().collect();
-    cells.sort_by_key(|c| c.id);
-    if cfg.trace {
-        for cell in &mut cells {
-            cell.check_trace();
-        }
-    }
-    // Merge in cell order (deterministic regardless of which thread ran
-    // what). The cross-cell timeline is ordered by (cycles, cell, index):
-    // a stable merge of per-cell streams that any event reordering,
-    // loss or cycle drift perturbs.
+    // The cross-cell timeline is ordered by (cycles, cell, index): a
+    // stable merge of per-cell streams that any event reordering, loss
+    // or cycle drift perturbs.
     let mut merged: Vec<(u64, u32, usize, u64)> = Vec::new();
-    for cell in &cells {
+    for (cell, id) in cells.iter().zip(0u32..) {
         for (i, &(cyc, h)) in cell.timeline.iter().enumerate() {
-            merged.push((cyc, cell.id, i, h));
+            merged.push((cyc, id, i, h));
         }
     }
     merged.sort();
@@ -775,22 +760,16 @@ fn run_inner(cfg: &FleetConfig, parallel: bool) -> FleetResult {
         digest = fnv1a(digest, &cell.to_le_bytes());
         digest = fnv1a(digest, &h.to_le_bytes());
     }
-    let duration_cycles = cells
-        .iter()
-        .map(|c| c.k.sys.machine.cycles)
-        .max()
-        .unwrap_or(0);
+    let duration_cycles = cells.iter().map(|c| c.cycles).max().unwrap_or(0);
+    // Cell `c` hosts a contiguous tid range, so cell order is tid order.
     let mut tenants = Vec::with_capacity(cfg.tenants as usize);
     let mut violations = Vec::new();
     let mut trace_violations = Vec::new();
     for cell in cells {
+        tenants.extend(cell.tenants);
         violations.extend(cell.violations);
         trace_violations.extend(cell.trace_violations);
-        for t in cell.tenants {
-            tenants.push(t.report);
-        }
     }
-    tenants.sort_by_key(|t| t.tid);
     FleetResult {
         header: cfg.header(),
         tenants,
@@ -801,9 +780,9 @@ fn run_inner(cfg: &FleetConfig, parallel: bool) -> FleetResult {
     }
 }
 
-/// Run the fleet, rayon-parallel across shards. Byte-identical to
-/// [`run_serial`] (and to itself under any `RAYON_NUM_THREADS` or shard
-/// count) for a fixed config.
+/// Run the fleet, its cells rayon-parallel. Byte-identical to
+/// [`run_serial`] (and to itself under any `RAYON_NUM_THREADS`) for a
+/// fixed config.
 pub fn run(cfg: &FleetConfig) -> FleetResult {
     run_inner(cfg, true)
 }
@@ -846,20 +825,14 @@ impl ShardKillProbe {
     }
 }
 
-fn drive_cell_to_completion(cell: &mut Cell, images: &[ExecImage], cfg: &FleetConfig) {
-    while !cell.done {
-        cell.window_end = cell.k.sys.machine.cycles + cfg.window_cycles;
-        cell.pump(images, cfg.slo_cycles);
-    }
-}
-
 /// Kill one kernel cell mid-run — serialize it, drop it, restore from the
 /// bytes — and continue; compare everything observable against an
 /// uninterrupted twin. Exercises the chaos claim that a fleet survives
-/// losing a shard: the snapshot round-trip is exact, the driver's external
-/// bookkeeping (arrival cursors, event cursor) stays valid because the
-/// event log is part of the snapshot, and the trace seq counter resumes
-/// where it stopped so the pre/post streams splice.
+/// losing a cell's kernel: the snapshot round-trip is exact, the driver's
+/// external bookkeeping (arrival cursors, event cursor) stays valid
+/// because the event log is part of the snapshot, and the trace seq
+/// counter resumes where it stopped so the pre/post streams splice. Both
+/// cells step through the runner's own driver window.
 ///
 /// The config must describe a single cell (`cells() == 1`) with `trace`
 /// enabled; `kill_at_window` picks which driver window the kill lands
@@ -874,7 +847,7 @@ pub fn shard_kill_probe(cfg: &FleetConfig, kill_at_window: u32) -> ShardKillProb
 
     // Uninterrupted twin.
     let mut a = Cell::new(cfg, 0);
-    drive_cell_to_completion(&mut a, &images, cfg);
+    a.drive_to_completion(&images, cfg);
     let ref_trace = a.k.sys.machine.tracer.snapshot();
 
     // Interrupted run: same cell, killed after `kill_at_window` windows.
@@ -883,8 +856,7 @@ pub fn shard_kill_probe(cfg: &FleetConfig, kill_at_window: u32) -> ShardKillProb
     let mut killed = false;
     let mut window = 0u32;
     while !b.done {
-        b.window_end = b.k.sys.machine.cycles + cfg.window_cycles;
-        b.pump(&images, cfg.slo_cycles);
+        b.step_window(&images, cfg);
         window += 1;
         if window == kill_at_window && !b.done {
             pre = b.k.sys.machine.tracer.snapshot();
@@ -936,11 +908,8 @@ pub fn shard_kill_probe(cfg: &FleetConfig, kill_at_window: u32) -> ShardKillProb
         detail.push_str("run completed before the kill window; raise the load\n");
         false
     };
-    let mut violations = Vec::new();
-    violations.extend(a.violations);
+    let mut violations = a.violations;
     violations.extend(b.violations);
-    violations.extend(a.trace_violations);
-    violations.extend(b.trace_violations);
     ShardKillProbe {
         killed,
         reports_identical,
@@ -948,5 +917,24 @@ pub fn shard_kill_probe(cfg: &FleetConfig, kill_at_window: u32) -> ShardKillProb
         splice_ok,
         violations,
         detail,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_tenants_per_cell_still_places_every_tenant() {
+        let cfg = FleetConfig {
+            tenants: 3,
+            tenants_per_cell: 0,
+            requests_per_tenant: 1,
+            ..FleetConfig::default()
+        };
+        let r = run_serial(&cfg);
+        assert_eq!(cfg.cells(), 3);
+        assert_eq!(r.tenants.len(), 3, "{}", r.render());
+        assert_eq!(r.completed(), 3, "{}", r.render());
     }
 }

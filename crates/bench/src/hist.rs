@@ -6,7 +6,7 @@
 //! data-dependent branches beyond the small/large split — so recording a
 //! latency sample is cheap enough to run per-request at fleet scale and
 //! the resulting report is bit-identical across platforms and thread
-//! counts (merging shards is element-wise addition, which commutes).
+//! counts (merging histograms is element-wise addition, which commutes).
 //!
 //! Bucket layout (HDR-style, base-2): values below `LINEAR_MAX` (32) get
 //! an exact bucket each; every power-of-two octave above that is split
@@ -141,7 +141,7 @@ impl Hist {
     }
 
     /// Merge another histogram into this one (element-wise; commutative
-    /// and associative, so shard merge order can't change the report).
+    /// and associative, so merge order can't change the report).
     pub fn merge(&mut self, other: &Hist) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;

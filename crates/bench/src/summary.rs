@@ -99,8 +99,6 @@ pub struct FleetProbe {
     pub tenants: u32,
     /// Kernel cells they were spread over.
     pub cells: u32,
-    /// Parallel shard groups.
-    pub shards: u32,
     /// Requests that ran to completion.
     pub completed: u64,
     /// Requests dropped at the horizon.
@@ -251,7 +249,7 @@ impl BenchSummary {
         let fleet = match &self.fleet {
             None => String::new(),
             Some(p) => format!(
-                ",\n  \"fleet\": {{\"tenants\": {}, \"cells\": {}, \"shards\": {}, \
+                ",\n  \"fleet\": {{\"tenants\": {}, \"cells\": {}, \
                  \"completed\": {}, \"dropped\": {}, \
                  \"fleet_p50\": {}, \"fleet_p95\": {}, \"fleet_p99\": {}, \
                  \"fleet_req_per_mcycle\": {}, \"detected\": {}, \"attempts\": {}, \
@@ -259,7 +257,6 @@ impl BenchSummary {
                  \"wall_ms\": {:.3}, \"identical\": {}}}",
                 p.tenants,
                 p.cells,
-                p.shards,
                 p.completed,
                 p.dropped,
                 p.p50,
@@ -490,7 +487,6 @@ mod tests {
             fleet: Some(FleetProbe {
                 tenants: 500,
                 cells: 100,
-                shards: 4,
                 completed: 3000,
                 dropped: 0,
                 p50: 90_111,

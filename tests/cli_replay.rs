@@ -136,13 +136,20 @@ fn bad_shard_count_is_a_usage_error() {
         assert_typed_failure(&out, "unrecognised argument --shards");
         assert_eq!(out.status.code(), Some(2));
     }
-    // `fig6_normalized` takes no arguments at all.
-    let out = Command::new(env!("CARGO_BIN_EXE_fig6_normalized"))
-        .args(["--shards", "8"])
-        .output()
-        .expect("fig6_normalized bin runs");
-    assert_typed_failure(&out, "unrecognised argument --shards");
-    assert_eq!(out.status.code(), Some(2));
+    // `fig6_normalized` takes no arguments at all, and `fleet` runs each
+    // cell on its own, with no shard grouping to choose.
+    for bin in [
+        env!("CARGO_BIN_EXE_fig6_normalized"),
+        env!("CARGO_BIN_EXE_fleet"),
+    ] {
+        let out = Command::new(bin)
+            .args(["--shards", "4"])
+            .output()
+            .expect("bin runs");
+        assert_typed_failure(&out, "unrecognised argument --shards");
+        assert_eq!(out.status.code(), Some(2), "{bin}");
+        assert!(out.stdout.is_empty(), "{bin} ran before rejecting --shards");
+    }
 }
 
 #[test]
@@ -223,19 +230,33 @@ fn unknown_arguments_are_usage_errors() {
 }
 
 /// `fleet` checks its whole command line before it simulates anything:
-/// an unknown flag, a valued flag followed by another flag (which must
-/// not become the `--report` path) and a trailing valued flag (which
-/// must not fall back to the default) are usage errors with exit 2.
+/// an unknown flag (the removed `--serial` too), a valued flag followed
+/// by another flag (which must not become the `--report` path), a
+/// trailing valued flag (which must not fall back to the default), and a
+/// value that cannot describe a fleet (no frames, no tenants per cell)
+/// are usage errors with exit 2.
 #[test]
 fn fleet_malformed_arguments_are_usage_errors() {
     let dir = scratch("fleet_args");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let small = ["--tenants", "1", "--requests", "1", "--cell-tenants", "1"];
-    let cases: [(Vec<&str>, &str); 3] = [
+    let cases: [(Vec<&str>, &str); 6] = [
         (
             [&small[..], &["--bogus-flag"]].concat(),
             "unrecognised argument --bogus-flag",
+        ),
+        (
+            [&small[..], &["--serial"]].concat(),
+            "unrecognised argument --serial",
+        ),
+        (
+            ["--tenants", "10", "--frames", "0"].to_vec(),
+            "--frames must be at least 1",
+        ),
+        (
+            ["--tenants", "10", "--cell-tenants", "0", "--requests", "1"].to_vec(),
+            "--cell-tenants must be at least 1",
         ),
         (
             [&small[..], &["--report", "--quick"]].concat(),
@@ -259,6 +280,27 @@ fn fleet_malformed_arguments_are_usage_errors() {
     assert!(
         !dir.join("--quick").exists(),
         "--quick was taken as the report path"
+    );
+}
+
+/// `--quick` only changes the defaults of `--tenants` and `--requests`:
+/// a flag given explicitly wins over it.
+#[test]
+fn fleet_quick_keeps_explicit_flags() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
+        .args(["--quick", "--tenants", "5"])
+        .output()
+        .expect("fleet bin runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let header = stdout.lines().next().unwrap_or_default();
+    assert!(
+        header.starts_with("fleet: tenants=5 cells=1 ") && header.contains(" reqs=4 "),
+        "{header}"
     );
 }
 

@@ -3,10 +3,9 @@
 //!
 //! * **Determinism** — the parallel runner's full report (fleet summary +
 //!   every per-tenant line + the merged event-timeline digest) is
-//!   byte-identical to the serial reference, to a re-run of itself, and
-//!   invariant under shard-count changes, across seeds, profiles and
-//!   mixes (proptest). CI pins the same property under a
-//!   `RAYON_NUM_THREADS` matrix.
+//!   byte-identical to the serial reference and to a re-run of itself,
+//!   across seeds, profiles and mixes (proptest). CI pins the same
+//!   property under a `RAYON_NUM_THREADS` matrix.
 //! * **Detection** — every attacker tenant is detected and no payload
 //!   executes under split memory, in both TLB models (flush-on-switch
 //!   and ASID-tagged) and on both TLB geometries.
@@ -24,10 +23,9 @@ use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{KernelConfig, RunExit};
 use sm_machine::TlbPreset;
 
-fn small_cfg(seed: u64, shards: u32, profile: Profile, mix: Mix) -> FleetConfig {
+fn small_cfg(seed: u64, profile: Profile, mix: Mix) -> FleetConfig {
     FleetConfig {
         tenants: 30,
-        shards,
         tenants_per_cell: 5,
         seed,
         profile,
@@ -49,12 +47,11 @@ fn full_report(r: &fleet::FleetResult) -> String {
 
 #[test]
 fn flagship_population_completes_with_full_detection() {
-    // The acceptance-scale run: >= 500 tenants over >= 4 shards, every
+    // The acceptance-scale run: >= 500 tenants over 100 cells, every
     // tenant completing with a per-tenant report, 100% attacker
     // detection, zero executed payloads.
     let cfg = FleetConfig {
         tenants: 500,
-        shards: 4,
         ..FleetConfig::default()
     };
     let r = fleet::run(&cfg);
@@ -77,25 +74,10 @@ fn flagship_population_completes_with_full_detection() {
 
 #[test]
 fn serial_and_parallel_runs_are_byte_identical() {
-    let cfg = small_cfg(7, 3, Profile::Burst, Mix::Standard);
+    let cfg = small_cfg(7, Profile::Burst, Mix::Standard);
     let par = fleet::run(&cfg);
     let ser = fleet::run_serial(&cfg);
     assert_eq!(full_report(&par), full_report(&ser));
-}
-
-#[test]
-fn shard_count_cannot_change_tenant_outcomes() {
-    // The cell topology is a pure function of the config; shards are an
-    // execution grouping. Reports (minus the config echo line, which
-    // legitimately names the shard count) must match across shard counts.
-    let tenant_lines = |shards: u32| {
-        let cfg = small_cfg(11, shards, Profile::Poisson, Mix::ForkStorm);
-        let r = fleet::run(&cfg);
-        format!("{}digest={:016x}", r.render_tenants(), r.timeline_digest)
-    };
-    let one = tenant_lines(1);
-    assert_eq!(one, tenant_lines(2));
-    assert_eq!(one, tenant_lines(5));
 }
 
 #[test]
@@ -104,7 +86,6 @@ fn attacker_detection_holds_in_both_tlb_models_and_geometries() {
         for tlb in [TlbPreset::default(), TlbPreset::pentium3()] {
             let cfg = FleetConfig {
                 tenants: 20,
-                shards: 2,
                 requests_per_tenant: 3,
                 asid_tlbs: asid,
                 tlb,
@@ -129,7 +110,6 @@ fn unprotected_fleet_lets_every_payload_through() {
     // protects, so the detection numbers above are measuring something.
     let cfg = FleetConfig {
         tenants: 20,
-        shards: 2,
         requests_per_tenant: 3,
         protection: Protection::Unprotected,
         ..FleetConfig::default()
@@ -151,7 +131,6 @@ fn unprotected_fleet_lets_every_payload_through() {
 fn oom_ramp_degrades_without_invariant_violations() {
     let cfg = FleetConfig {
         tenants: 30,
-        shards: 2,
         requests_per_tenant: 3,
         mix: Mix::OomRamp,
         phys_frames: 96,
@@ -173,7 +152,6 @@ fn oom_ramp_degrades_without_invariant_violations() {
 fn traced_fleet_keeps_stream_order() {
     let cfg = FleetConfig {
         tenants: 15,
-        shards: 2,
         requests_per_tenant: 3,
         trace: true,
         ..FleetConfig::default()
@@ -190,7 +168,6 @@ fn traced_fleet_keeps_stream_order() {
 fn shard_kill_probe_is_transparent() {
     let cfg = FleetConfig {
         tenants: 5,
-        shards: 1,
         requests_per_tenant: 8,
         trace: true,
         check_invariants: true,
@@ -257,27 +234,22 @@ fn reap_is_a_zombie_only_operation() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Byte-identity across runner modes, re-runs and shard counts, over
-    /// random seeds, profiles and mixes.
+    /// Byte-identity across runner modes and re-runs, over random seeds,
+    /// profiles and mixes.
     #[test]
     fn fleet_reports_are_deterministic(
         seed in 0u64..10_000,
         profile_ix in 0usize..3,
         mix_ix in 0usize..3,
-        shards in 1u32..6,
     ) {
         let profile = [Profile::Poisson, Profile::Burst, Profile::Ramp][profile_ix];
         let mix = [Mix::Standard, Mix::ForkStorm, Mix::OomRamp][mix_ix];
-        let cfg = small_cfg(seed, shards, profile, mix);
+        let cfg = small_cfg(seed, profile, mix);
         let par = fleet::run(&cfg);
         let rerun = fleet::run(&cfg);
         let ser = fleet::run_serial(&cfg);
         prop_assert_eq!(full_report(&par), full_report(&rerun));
         prop_assert_eq!(full_report(&par), full_report(&ser));
-        // Shard-count invariance on everything below the config echo.
-        let other = fleet::run(&FleetConfig { shards: shards % 5 + 1, ..cfg });
-        prop_assert_eq!(par.render_tenants(), other.render_tenants());
-        prop_assert_eq!(par.timeline_digest, other.timeline_digest);
     }
 
     /// 100% detection, zero injections, under split in both TLB models,
@@ -292,7 +264,7 @@ proptest! {
         let profile = [Profile::Poisson, Profile::Burst, Profile::Ramp][profile_ix];
         let cfg = FleetConfig {
             asid_tlbs: asid,
-            ..small_cfg(seed, 2, profile, Mix::Standard)
+            ..small_cfg(seed, profile, Mix::Standard)
         };
         let r = fleet::run(&cfg);
         let (det, att) = r.detection();

@@ -7,6 +7,7 @@ use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
 use sm_machine::TlbPreset;
 use sm_workloads::nbench::{run_nbench, run_nbench_on, NbenchKernel};
+use sm_workloads::tlbprobe::run_tlb_probe;
 use sm_workloads::unixbench::{
     run_unixbench, run_unixbench_on, run_unixbench_seeded_on, UnixbenchTest,
 };
@@ -175,26 +176,34 @@ fn figs_6_to_9_sub_runs_are_identical_on_the_pentium3_geometry() {
     }
 }
 
-/// 3C accounting under the Fig-7 stress diagnostics: the set-associative
-/// Pentium III D-TLB shows genuine conflict misses (the strided probe
-/// thrashes one set), while the single-set compat preset — where set
-/// pressure is structurally impossible — reports exactly zero.
+/// 3C accounting on Fig. 7's strided conflict probe: 8 pages at a
+/// 16-page stride, the probe `tlbprobe::run_conflict_probe` builds for
+/// the Pentium III geometry, run on both presets. All 8 pages share one
+/// set of the 4-way Pentium III D-TLB, so it conflict-misses there; the
+/// single-set default preset holds them all after their cold misses,
+/// with no eviction, so the same working set runs faster.
 #[test]
 fn fig7_diagnostics_show_conflict_misses_only_when_sets_exist() {
-    let p3 = sm_bench::fig7::tlb_diagnostics(TlbPreset::pentium3(), 30);
+    let split = Protection::SplitMem(ResponseMode::Break);
+    let p3 = run_tlb_probe(&split, TlbPreset::pentium3(), 8, 16, 30);
+    let flat = run_tlb_probe(&split, TlbPreset::default(), 8, 16, 30);
     assert!(
-        p3.iter().any(|d| d.dtlb.conflict_misses > 0),
-        "no D-TLB conflict misses anywhere on pentium3: {p3:?}"
+        p3.dtlb.conflict_misses > 0,
+        "no D-TLB conflict misses on pentium3: {:?}",
+        p3.dtlb
     );
-    let flat = sm_bench::fig7::tlb_diagnostics(TlbPreset::default(), 30);
-    for d in &flat {
-        assert_eq!(
-            d.itlb.conflict_misses + d.dtlb.conflict_misses,
-            0,
-            "{}: conflict misses on a fully-associative TLB",
-            d.name
-        );
-    }
+    assert_eq!(
+        flat.dtlb.misses, flat.dtlb.cold_misses,
+        "non-cold misses on the fully-associative TLB: {:?}",
+        flat.dtlb
+    );
+    assert_eq!(flat.dtlb.evictions, 0, "{:?}", flat.dtlb);
+    assert!(
+        p3.cycles > flat.cycles,
+        "set conflicts cost nothing: {} vs {} cycles",
+        p3.cycles,
+        flat.cycles
+    );
 }
 
 #[test]
