@@ -16,6 +16,7 @@
 //! timings and the summary path) go to stderr. Stdout holds only
 //! simulated results, identical at any `RAYON_NUM_THREADS`, and is pinned
 //! by `tests/golden/all_experiments.txt`.
+use sm_bench::chaos::{self, Scenario};
 use sm_bench::summary::BenchSummary;
 use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
@@ -118,7 +119,13 @@ fn main() {
         let split = Protection::SplitMem(ResponseMode::Break);
         let seeds = [1u64];
         for (mode, asid) in [("flush-on-switch", false), ("asid-tagged", true)] {
-            let swept = sm_bench::interference::sweep_interference(&seeds, &split, asid);
+            let swept = chaos::sweep(
+                &seeds,
+                &[Scenario::Interference { asid }],
+                &split,
+                TlbPreset::default(),
+                chaos::perturbation_plans,
+            );
             let detected = swept.iter().filter(|c| c.run.detections > 0).count();
             let stable = swept.iter().all(|c| c.verdict_stable);
             println!(

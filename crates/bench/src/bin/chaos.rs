@@ -2,10 +2,14 @@
 //! Chaos sweep runner: seeds × fault plans × scenarios, asserting that
 //! protection verdicts survive every deterministic fault stream.
 //!
-//! By default every applicable cell of the Wilander technique × location
-//! matrix is swept (20 cells + the benign loop); `--quick` restores the
-//! reduced pre-matrix scenario set for time-budgeted CI runs. Combos run
-//! in parallel (pin `RAYON_NUM_THREADS` for a fixed thread count); output
+//! The sweep is a table of passes ([`passes`]): each names its
+//! scenarios, protection, seeds, TLB geometry, plan family and the
+//! [`Expect`] every combo is judged against, and one loop sweeps them
+//! all and prints one `ok`/`FAIL` line per combo. By default every
+//! applicable cell of the Wilander technique × location matrix is swept
+//! (20 cells + the benign loop); `--quick` restores the reduced
+//! pre-matrix scenario set for time-budgeted CI runs. Combos run in
+//! parallel (pin `RAYON_NUM_THREADS` for a fixed thread count); output
 //! order is deterministic either way.
 //!
 //! Exits non-zero on any verdict mismatch, invariant violation, or
@@ -24,26 +28,19 @@
 //! verdict reproduces and the trace tail splices byte-identically.
 //! Adding `--stop-seq <seq>` time-travels instead: the run stops as soon
 //! as the tracer reaches that sequence number and prints the tail.
+//! `--replay`, `--dump-demo` and `--fleet` exclude each other and the
+//! sweep's `--quick` and `--trace`.
 
 use sm_attacks::wilander::{self, InjectLocation, Technique};
-use sm_bench::chaos::{self, Scenario};
+use sm_bench::chaos::{
+    self, oom_plans, perturbation_plans, ComboResult, Expect, NamedPlan, Scenario,
+};
 use sm_bench::cli;
-use sm_bench::interference;
 use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
-use sm_kernel::kernel::RunExit;
+use sm_machine::chaos::FaultPlan;
 use sm_machine::trace::mask;
 use sm_machine::TlbPreset;
-use std::collections::HashMap;
-
-/// A failing combo queued for a traced re-run.
-struct FailedCombo {
-    scenario: String,
-    plan: &'static str,
-    seed: u64,
-    protection: Protection,
-    tlb: TlbPreset,
-}
 
 /// The reduced pre-matrix scenario set: one wilander column per technique
 /// (on the stack) plus the FuncPtrVariable row across locations.
@@ -224,6 +221,122 @@ fn fleet_scenarios() -> i32 {
     }
 }
 
+/// The seeds of every pass that does not name a reduced set.
+const SEEDS: &[u64] = &[1, 2, 3];
+
+/// One sweep of the transcript and what each of its combos must show.
+struct Pass {
+    /// Printed after a blank line before the pass's combos.
+    heading: Option<&'static str>,
+    /// Printed in place of each combo's scenario name.
+    label: Option<String>,
+    scenarios: Vec<Scenario>,
+    protection: Protection,
+    seeds: &'static [u64],
+    tlb: TlbPreset,
+    plans: fn(u64) -> Vec<NamedPlan>,
+    expect: Expect,
+}
+
+/// Every pass of the sweep, in transcript order, over `scenarios`.
+fn passes(scenarios: &[Scenario]) -> Vec<Pass> {
+    let split = Protection::SplitMem(ResponseMode::Break);
+    let combined = Protection::Combined(ResponseMode::Break);
+    let p3 = TlbPreset::pentium3();
+    let pass = |scenarios: &[Scenario], protection: &Protection, plans, expect| Pass {
+        heading: None,
+        label: None,
+        scenarios: scenarios.to_vec(),
+        protection: protection.clone(),
+        seeds: SEEDS,
+        tlb: TlbPreset::default(),
+        plans,
+        expect,
+    };
+    let mut passes = vec![
+        pass(scenarios, &split, perturbation_plans, Expect::Stable),
+        // Third-engine passes: the shadow-stack/CFI engine, standalone and
+        // stacked on combined split+NX. CFI events ride the ordinary
+        // retire path, so verdicts must stay plan-stable with the extra
+        // engine in the loop. (Standalone runs a reduced seed set: the
+        // engine sees the same control-flow stream per plan, the extra
+        // seeds only move fault timing.)
+        Pass {
+            heading: Some("shadow-stack engine alone"),
+            seeds: &[1],
+            ..pass(
+                scenarios,
+                &Protection::ShadowStack(ResponseMode::Break),
+                perturbation_plans,
+                Expect::Stable,
+            )
+        },
+        Pass {
+            heading: Some("shadow+nx+split stack"),
+            ..pass(
+                scenarios,
+                &Protection::ShadowCombined(ResponseMode::Break),
+                perturbation_plans,
+                Expect::Stable,
+            )
+        },
+        // The self-patcher's *observable patch outcome* is legitimately
+        // plan-dependent (a periodic flush landing between the I-TLB fill
+        // and the store's fetch widens the paper-§7 single-step window
+        // onto the store itself), so it must converge, not keep its
+        // verdict.
+        pass(
+            &[Scenario::MixedPatch],
+            &split,
+            perturbation_plans,
+            Expect::Converges,
+        ),
+        // OOM plans run under combined mode, where NX backstops degraded
+        // pages.
+        pass(scenarios, &combined, oom_plans, Expect::NoAttack),
+        // Set-associative geometry: chaos evictions pick a victim set
+        // then a way (paper-testbed geometry). One seed: the geometry
+        // changes which entries evictions hit, not the fault stream.
+        Pass {
+            heading: Some("pentium3 geometry (32-entry 4-way I-TLB, 64-entry 4-way D-TLB)"),
+            seeds: &[1],
+            tlb: p3,
+            ..pass(scenarios, &split, perturbation_plans, Expect::Stable)
+        },
+        Pass {
+            seeds: &[1],
+            tlb: p3,
+            ..pass(scenarios, &combined, oom_plans, Expect::NoAttack)
+        },
+    ];
+    // Cross-process passes: one image forks into attacker and victim
+    // sharing data frames COW; chaos preemption moves the context-switch
+    // points between arbitrary steps of either guest. The injection must
+    // *work* unprotected (the attack is real) and be detected on every
+    // combo under split memory, in both the flush-on-switch and the
+    // ASID-tagged TLB models, while the victim's COW view stays pristine.
+    let mut heading = Some("cross-process interference (fork + COW-shared pages)");
+    for (mode, asid) in [("flush", false), ("asid", true)] {
+        for (name, protection, works) in [
+            ("unprot", &Protection::Unprotected, true),
+            ("split", &split, false),
+        ] {
+            let scenario = [Scenario::Interference { asid }];
+            passes.push(Pass {
+                heading: heading.take(),
+                label: Some(format!("interfere-{name}-{mode}")),
+                ..pass(
+                    &scenario,
+                    protection,
+                    perturbation_plans,
+                    Expect::Injection { works },
+                )
+            });
+        }
+    }
+    passes
+}
+
 fn main() {
     let args = cli::checked_args(
         "chaos",
@@ -231,6 +344,19 @@ fn main() {
         &["--quick", "--trace", "--fleet"],
         &["--replay", "--stop-seq", "--dump-demo"],
     );
+    let given = |flag: &str| args.iter().any(|a| a == flag);
+    let modes: Vec<&str> = ["--replay", "--dump-demo", "--fleet"]
+        .into_iter()
+        .filter(|f| given(f))
+        .collect();
+    if let [first, second, ..] = modes[..] {
+        usage_error(&format!("{first} and {second} cannot be combined"));
+    }
+    if let Some(mode) = modes.first() {
+        if let Some(flag) = ["--quick", "--trace"].into_iter().find(|f| given(f)) {
+            usage_error(&format!("{flag} only applies to the sweep, not {mode}"));
+        }
+    }
     if let Some(i) = args.iter().position(|a| a == "--replay") {
         let path = match cli::flag_value(&args, i, "--replay") {
             Ok(p) => p,
@@ -244,12 +370,9 @@ fn main() {
             },
             None => None,
         };
-        std::process::exit(match stop_seq {
-            Some(s) => replay_to_seq(path, s),
-            None => replay(path),
-        });
+        std::process::exit(replay(path, stop_seq));
     }
-    if args.iter().any(|a| a == "--stop-seq") {
+    if given("--stop-seq") {
         usage_error("--stop-seq only makes sense with --replay");
     }
     if let Some(i) = args.iter().position(|a| a == "--dump-demo") {
@@ -259,23 +382,16 @@ fn main() {
         };
         std::process::exit(dump_demo(path));
     }
-    if args.iter().any(|a| a == "--fleet") {
+    if given("--fleet") {
         std::process::exit(fleet_scenarios());
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let trace = args.iter().any(|a| a == "--trace");
+    let quick = given("--quick");
+    let trace = given("--trace");
     let scenarios = if quick {
         quick_scenarios()
     } else {
         full_scenarios()
     };
-
-    let seeds = [1u64, 2, 3];
-    let split = Protection::SplitMem(ResponseMode::Break);
-    let combined = Protection::Combined(ResponseMode::Break);
-    let shadow_alone = Protection::ShadowStack(ResponseMode::Break);
-    let shadow_stacked = Protection::ShadowCombined(ResponseMode::Break);
-
     println!(
         "chaos sweep ({}): {} scenarios x {} seeds",
         if quick {
@@ -284,329 +400,109 @@ fn main() {
             "full wilander matrix"
         },
         scenarios.len(),
-        seeds.len()
+        SEEDS.len()
     );
 
     let mut combos = 0usize;
-    let mut failures = 0usize;
-    let mut failed_combos: Vec<FailedCombo> = Vec::new();
-
-    let perturbed = chaos::sweep(&seeds, &scenarios, &split);
-    for r in &perturbed {
-        combos += 1;
-        let mut bad = Vec::new();
-        if !r.verdict_stable {
-            bad.push(format!(
-                "verdict {:?} != baseline {:?}",
-                r.run.verdict, r.baseline
-            ));
+    let mut failed: Vec<(ComboResult, Protection, TlbPreset)> = Vec::new();
+    for pass in passes(&scenarios) {
+        if let Some(heading) = pass.heading {
+            println!("\n{heading}:");
         }
-        if !r.run.violations.is_empty() {
-            bad.push(format!("{} invariant violations", r.run.violations.len()));
-        }
-        if matches!(r.run.exit, RunExit::Livelock { .. }) {
-            bad.push("livelock".into());
-        }
-        if report(r, &mut failures, bad) && trace {
-            failed_combos.push(FailedCombo {
-                scenario: r.scenario.clone(),
-                plan: r.plan,
-                seed: r.seed,
-                protection: split.clone(),
-                tlb: TlbPreset::default(),
-            });
-        }
-    }
-
-    // Third-engine pass: the same perturbation sweep with the
-    // shadow-stack/CFI engine, standalone and stacked on combined
-    // split+NX. CFI events ride the ordinary retire path, so verdicts
-    // must stay plan-stable with the extra engine in the loop — under
-    // --quick and the full matrix alike. (Standalone runs a reduced seed
-    // set: the engine sees the same control-flow stream per plan, the
-    // extra seeds only move fault timing.)
-    for (label, protection, sweep_seeds) in [
-        (
-            "shadow-stack engine alone",
-            shadow_alone.clone(),
-            &seeds[..1],
-        ),
-        ("shadow+nx+split stack", shadow_stacked.clone(), &seeds[..]),
-    ] {
-        println!("\n{label}:");
-        let swept = chaos::sweep(sweep_seeds, &scenarios, &protection);
-        for r in &swept {
+        let swept = chaos::sweep(
+            pass.seeds,
+            &pass.scenarios,
+            &pass.protection,
+            pass.tlb,
+            pass.plans,
+        );
+        for r in swept {
             combos += 1;
-            let mut bad = Vec::new();
-            if !r.verdict_stable {
-                bad.push(format!(
-                    "verdict {:?} != baseline {:?}",
-                    r.run.verdict, r.baseline
-                ));
+            let bad = r.problems(pass.expect);
+            let name = pass.label.clone().unwrap_or_else(|| r.scenario.name());
+            let line = format!(
+                "{name:<44} {:<18} seed={} -> {}",
+                r.plan.name, r.seed, r.run.verdict
+            );
+            if bad.is_empty() {
+                println!("  ok   {line}");
+                continue;
             }
-            if !r.run.violations.is_empty() {
-                bad.push(format!("{} invariant violations", r.run.violations.len()));
+            println!("  FAIL {line} [{}]", bad.join("; "));
+            for v in &r.run.violations {
+                println!("       violation: {v}");
             }
-            if matches!(r.run.exit, RunExit::Livelock { .. }) {
-                bad.push("livelock".into());
-            }
-            if report(r, &mut failures, bad) && trace {
-                failed_combos.push(FailedCombo {
-                    scenario: r.scenario.clone(),
-                    plan: r.plan,
-                    seed: r.seed,
-                    protection: protection.clone(),
-                    tlb: TlbPreset::default(),
-                });
-            }
-        }
-    }
-
-    // The mixed-segment self-patcher is swept separately: its *observable
-    // patch outcome* is legitimately plan-dependent (a periodic flush
-    // landing between the I-TLB fill and the store's fetch widens the
-    // paper-§7 single-step window onto the store itself), so we demand
-    // convergence, clean invariants and no livelock — not verdict
-    // equality.
-    let mixed = chaos::sweep(&seeds, &[Scenario::MixedPatch], &split);
-    for r in &mixed {
-        combos += 1;
-        let mut bad = Vec::new();
-        if !r.run.violations.is_empty() {
-            bad.push(format!("{} invariant violations", r.run.violations.len()));
-        }
-        if !matches!(r.run.exit, RunExit::AllExited) {
-            bad.push(format!("did not converge: {:?}", r.run.exit));
-        }
-        if report(r, &mut failures, bad) && trace {
-            failed_combos.push(FailedCombo {
-                scenario: r.scenario.clone(),
-                plan: r.plan,
-                seed: r.seed,
-                protection: split.clone(),
-                tlb: TlbPreset::default(),
-            });
-        }
-    }
-
-    let oom = chaos::sweep_oom(&seeds, &scenarios, &combined);
-    for r in &oom {
-        combos += 1;
-        let mut bad = Vec::new();
-        if r.run.attack_succeeded {
-            bad.push(format!("attack succeeded under OOM: {}", r.run.verdict));
-        }
-        if !r.run.violations.is_empty() {
-            bad.push(format!("{} invariant violations", r.run.violations.len()));
-        }
-        if report(r, &mut failures, bad) && trace {
-            failed_combos.push(FailedCombo {
-                scenario: r.scenario.clone(),
-                plan: r.plan,
-                seed: r.seed,
-                protection: combined.clone(),
-                tlb: TlbPreset::default(),
-            });
-        }
-    }
-
-    // Set-associative pass: the same guarantees must hold when chaos
-    // evictions pick a victim set then a way (paper-testbed geometry). A
-    // reduced seed set keeps the sweep inside its runtime budget — the
-    // geometry changes which entries evictions hit, not the fault stream.
-    println!("\npentium3 geometry (32-entry 4-way I-TLB, 64-entry 4-way D-TLB):");
-    let p3 = TlbPreset::pentium3();
-    let p3_seeds = [1u64];
-    let perturbed = chaos::sweep_on(&p3_seeds, &scenarios, &split, p3);
-    for r in &perturbed {
-        combos += 1;
-        let mut bad = Vec::new();
-        if !r.verdict_stable {
-            bad.push(format!(
-                "verdict {:?} != baseline {:?}",
-                r.run.verdict, r.baseline
-            ));
-        }
-        if !r.run.violations.is_empty() {
-            bad.push(format!("{} invariant violations", r.run.violations.len()));
-        }
-        if matches!(r.run.exit, RunExit::Livelock { .. }) {
-            bad.push("livelock".into());
-        }
-        if report(r, &mut failures, bad) && trace {
-            failed_combos.push(FailedCombo {
-                scenario: r.scenario.clone(),
-                plan: r.plan,
-                seed: r.seed,
-                protection: split.clone(),
-                tlb: p3,
-            });
-        }
-    }
-    let oom = chaos::sweep_oom_on(&p3_seeds, &scenarios, &combined, p3);
-    for r in &oom {
-        combos += 1;
-        let mut bad = Vec::new();
-        if r.run.attack_succeeded {
-            bad.push(format!("attack succeeded under OOM: {}", r.run.verdict));
-        }
-        if !r.run.violations.is_empty() {
-            bad.push(format!("{} invariant violations", r.run.violations.len()));
-        }
-        if report(r, &mut failures, bad) && trace {
-            failed_combos.push(FailedCombo {
-                scenario: r.scenario.clone(),
-                plan: r.plan,
-                seed: r.seed,
-                protection: combined.clone(),
-                tlb: p3,
-            });
-        }
-    }
-
-    // Cross-process pass: one image forks into attacker and victim
-    // sharing data frames COW; chaos preemption moves the context-switch
-    // points between arbitrary steps of either guest. The injection must
-    // *work* unprotected (the attack is real) and be detected 100% of the
-    // time under split memory — in both the flush-on-switch and the
-    // ASID-tagged TLB models — while the victim's COW view stays pristine.
-    println!("\ncross-process interference (fork + COW-shared pages):");
-    let unprotected = Protection::Unprotected;
-    for (mode, asid) in [("flush", false), ("asid", true)] {
-        for (pname, protection, expect_success) in
-            [("unprot", &unprotected, true), ("split", &split, false)]
-        {
-            let swept = interference::sweep_interference(&seeds, protection, asid);
-            for r in &swept {
-                combos += 1;
-                let mut bad = Vec::new();
-                if r.run.attack_succeeded != expect_success {
-                    bad.push(format!(
-                        "attack_succeeded={} (want {expect_success}): {}",
-                        r.run.attack_succeeded, r.run.verdict
-                    ));
-                }
-                if !expect_success && r.run.detections == 0 {
-                    bad.push("injection not detected".into());
-                }
-                if r.run.victim_corrupted {
-                    bad.push("victim saw attacker bytes through COW".into());
-                }
-                if !r.verdict_stable {
-                    bad.push(format!(
-                        "verdict {:?} != baseline {:?}",
-                        r.run.verdict, r.baseline
-                    ));
-                }
-                if !r.run.violations.is_empty() {
-                    bad.push(format!("{} invariant violations", r.run.violations.len()));
-                }
-                if matches!(r.run.exit, RunExit::Livelock { .. }) {
-                    bad.push("livelock".into());
-                }
-                let label = format!("interfere-{pname}-{mode}");
-                if bad.is_empty() {
-                    println!(
-                        "  ok   {:<44} {:<18} seed={} -> {}",
-                        label, r.plan, r.seed, r.run.verdict
-                    );
-                } else {
-                    failures += 1;
-                    println!(
-                        "  FAIL {:<44} {:<18} seed={} -> {} [{}]",
-                        label,
-                        r.plan,
-                        r.seed,
-                        r.run.verdict,
-                        bad.join("; ")
-                    );
-                    for v in &r.run.violations {
-                        println!("       violation: {v}");
-                    }
-                }
-            }
+            failed.push((r, pass.protection.clone(), pass.tlb));
         }
     }
 
     if trace {
-        write_trace_sample(&scenarios, &split);
-        if !failed_combos.is_empty() {
-            let mut by_name: HashMap<String, Scenario> =
-                scenarios.iter().map(|&s| (s.name(), s)).collect();
-            by_name.insert(Scenario::MixedPatch.name(), Scenario::MixedPatch);
-            dump_failed_traces(&by_name, &failed_combos);
+        write_trace_sample(&scenarios);
+        if !failed.is_empty() {
+            dump_failed_traces(&failed);
         }
     }
 
-    println!("\n{combos} combos swept, {failures} failures");
-    if failures > 0 {
+    println!("\n{combos} combos swept, {} failures", failed.len());
+    if !failed.is_empty() {
         std::process::exit(1);
     }
 }
 
 /// Trace one canonical combo (first Wilander cell, split memory, inert
 /// plan) and write its event stream for CI schema validation.
-fn write_trace_sample(scenarios: &[Scenario], split: &Protection) {
+fn write_trace_sample(scenarios: &[Scenario]) {
     let scenario = scenarios
         .iter()
         .copied()
         .find(|s| matches!(s, Scenario::Wilander(_)))
         .unwrap_or(Scenario::Benign);
-    let Some(plan) = chaos::plan_by_name("inert", 1) else {
-        fatal("internal plan table is missing 'inert'");
+    let split = Protection::SplitMem(ResponseMode::Break);
+    let inert = FaultPlan {
+        seed: 1,
+        ..FaultPlan::default()
     };
-    let (_, jsonl) =
-        chaos::run_scenario_traced_on(scenario, split, TlbPreset::default(), plan, mask::ALL);
-    cli::write_artifact("chaos", "chaos_trace_sample.jsonl", jsonl.as_bytes());
+    let cp = chaos::run_scenario(
+        scenario,
+        &split,
+        TlbPreset::default(),
+        inert,
+        mask::ALL,
+        None,
+    );
+    cli::write_artifact("chaos", "chaos_trace_sample.jsonl", cp.jsonl.as_bytes());
     println!(
         "\ntrace sample: {} events ({}) -> chaos_trace_sample.jsonl",
-        jsonl.lines().count(),
+        cp.jsonl.lines().count(),
         scenario.name()
     );
 }
 
 /// Re-run every failing combo serially with all trace layers on and dump
 /// the concatenated event tails, plus a replayable checkpoint dump per
-/// combo. (Interference combos are built by a different harness and are
-/// not re-traced here.)
-fn dump_failed_traces(by_name: &HashMap<String, Scenario>, failed: &[FailedCombo]) {
+/// combo that has a dump encoding.
+fn dump_failed_traces(failed: &[(ComboResult, Protection, TlbPreset)]) {
     let mut out = String::new();
-    for (i, fc) in failed.iter().enumerate() {
-        let Some(&scenario) = by_name.get(&fc.scenario) else {
-            println!("  (no traced re-run for unknown scenario {})", fc.scenario);
-            continue;
-        };
-        let Some(plan) = chaos::plan_by_name(fc.plan, fc.seed) else {
-            println!("  (no traced re-run for unknown plan {})", fc.plan);
-            continue;
-        };
-        let (run, jsonl) =
-            chaos::run_scenario_traced_on(scenario, &fc.protection, fc.tlb, plan, mask::ALL);
+    for (i, (r, protection, tlb)) in failed.iter().enumerate() {
+        let cp = chaos::run_scenario(r.scenario, protection, *tlb, r.plan.plan, mask::ALL, None);
         println!(
             "  traced re-run {} {} seed={} -> {} ({} events)",
-            fc.scenario,
-            fc.plan,
-            fc.seed,
-            run.verdict,
-            jsonl.lines().count()
+            r.scenario.name(),
+            r.plan.name,
+            r.seed,
+            cp.run.verdict,
+            cp.jsonl.lines().count()
         );
-        out.push_str(&jsonl);
+        out.push_str(&cp.jsonl);
         // Also preserve a replayable dump: the combo re-run checkpointed,
         // its latest snapshot + plan + expected verdict in one file.
         // A short checkpoint interval (5 × 1000 cycles) so even quick
         // guests leave a restorable snapshot behind.
-        match chaos::checkpointed_dump(
-            scenario,
-            &fc.protection,
-            fc.tlb,
-            fc.plan,
-            plan,
-            mask::ALL,
-            chaos::Cadence {
-                every: 5,
-                stride: 1_000,
-            },
-        ) {
+        let cadence = chaos::Cadence {
+            every: 5,
+            stride: 1_000,
+        };
+        match chaos::checkpointed_dump(r.scenario, protection, *tlb, r.plan, mask::ALL, cadence) {
             Ok((cp, dump)) => {
                 let path = format!("chaos_dump_{i}.smcdump");
                 cli::write_artifact("chaos", &path, &dump);
@@ -634,18 +530,20 @@ fn dump_demo(path: &str) -> i32 {
         fatal("no applicable wilander cell to build the demo dump from");
     };
     let split = Protection::SplitMem(ResponseMode::Break);
-    let plan = sm_machine::chaos::FaultPlan {
-        flush_every: Some(101),
-        evict_every: Some(17),
-        snap_fault_every: Some(2),
-        seed: 1,
-        ..sm_machine::chaos::FaultPlan::default()
+    let plan = NamedPlan {
+        name: "demo-flush-evict-snapfault",
+        plan: FaultPlan {
+            flush_every: Some(101),
+            evict_every: Some(17),
+            snap_fault_every: Some(2),
+            seed: 1,
+            ..FaultPlan::default()
+        },
     };
     match chaos::checkpointed_dump(
         scenario,
         &split,
         TlbPreset::default(),
-        "demo-flush-evict-snapfault",
         plan,
         mask::ALL,
         chaos::Cadence {
@@ -674,59 +572,10 @@ fn dump_demo(path: &str) -> i32 {
     }
 }
 
-/// `--replay <path>`: restore a dump, finish its run, verify verdict and
-/// trace splice.
-fn replay(path: &str) -> i32 {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    match chaos::replay_dump(&bytes) {
-        Ok(r) => {
-            println!(
-                "replay {path}: {} {} (seed={}, checkpoint @ slice {})",
-                r.scenario, r.plan_name, r.plan.seed, r.slice
-            );
-            println!(
-                "  verdict: {} (expected {}) -> {}",
-                r.verdict,
-                r.expected_verdict,
-                if r.verdict_matches {
-                    "MATCH"
-                } else {
-                    "MISMATCH"
-                }
-            );
-            println!(
-                "  trace splice: {} events re-emitted -> {}",
-                r.events_replayed,
-                if r.splice_matches {
-                    "byte-identical"
-                } else {
-                    "DIVERGED"
-                }
-            );
-            println!("  exit: {:?}, violations: {}", r.exit, r.violations.len());
-            let ok = r.verdict_matches && r.splice_matches && r.violations.is_empty();
-            if ok {
-                0
-            } else {
-                1
-            }
-        }
-        Err(e) => {
-            eprintln!("replay rejected: {e}");
-            1
-        }
-    }
-}
-
-/// `--replay <path> --stop-seq <seq>`: time travel — restore a dump and
+/// `--replay <path>`: restore a dump and finish its run, verifying the
+/// verdict and the trace splice; with `--stop-seq`, time travel instead —
 /// run it forward only until the tracer reaches the given seq.
-fn replay_to_seq(path: &str, stop_seq: u64) -> i32 {
+fn replay(path: &str, stop_seq: Option<u64>) -> i32 {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
@@ -734,31 +583,12 @@ fn replay_to_seq(path: &str, stop_seq: u64) -> i32 {
             return 1;
         }
     };
-    match chaos::replay_dump_to_seq(&bytes, stop_seq) {
-        Ok(r) => {
-            println!(
-                "time travel {path}: {} {} (checkpoint seq {}, stop seq {stop_seq})",
-                r.scenario, r.plan_name, r.seq0
-            );
-            println!(
-                "  stopped at seq {} after {} cycles ({} events re-emitted) -> {}",
-                r.seq_reached,
-                r.cycles,
-                r.events_replayed,
-                if r.reached {
-                    "REACHED"
-                } else {
-                    "run ended first"
-                }
-            );
-            println!("  exit: {:?}, violations: {}", r.exit, r.violations.len());
-            print!("{}", r.tail_jsonl);
-            if r.violations.is_empty() {
-                0
-            } else {
-                1
-            }
-        }
+    let ok = match stop_seq {
+        None => chaos::replay_dump(&bytes).map(|r| print_replay(path, &r)),
+        Some(seq) => chaos::replay_dump_to_seq(&bytes, seq).map(|r| print_time_travel(path, &r)),
+    };
+    match ok {
+        Ok(ok) => i32::from(!ok),
         Err(e) => {
             eprintln!("replay rejected: {e}");
             1
@@ -766,26 +596,59 @@ fn replay_to_seq(path: &str, stop_seq: u64) -> i32 {
     }
 }
 
-fn report(r: &chaos::ComboResult, failures: &mut usize, bad: Vec<String>) -> bool {
-    if bad.is_empty() {
-        println!(
-            "  ok   {:<44} {:<18} seed={} -> {}",
-            r.scenario, r.plan, r.seed, r.run.verdict
-        );
-        false
-    } else {
-        *failures += 1;
-        println!(
-            "  FAIL {:<44} {:<18} seed={} -> {} [{}]",
-            r.scenario,
-            r.plan,
-            r.seed,
-            r.run.verdict,
-            bad.join("; ")
-        );
-        for v in &r.run.violations {
-            println!("       violation: {v}");
+/// Print a replay to the deadline; true if it reproduced the run.
+fn print_replay(path: &str, r: &chaos::ReplayReport) -> bool {
+    let d = &r.dump;
+    println!(
+        "replay {path}: {} {} (seed={}, checkpoint @ slice {})",
+        d.scenario, d.plan_name, d.plan.seed, d.slice
+    );
+    println!(
+        "  verdict: {} (expected {}) -> {}",
+        r.run.verdict,
+        d.expected_verdict,
+        if r.verdict_matches {
+            "MATCH"
+        } else {
+            "MISMATCH"
         }
-        true
-    }
+    );
+    println!(
+        "  trace splice: {} events re-emitted -> {}",
+        r.events_replayed,
+        if r.splice_matches {
+            "byte-identical"
+        } else {
+            "DIVERGED"
+        }
+    );
+    println!(
+        "  exit: {:?}, violations: {}",
+        r.run.exit,
+        r.run.violations.len()
+    );
+    r.verdict_matches && r.splice_matches && r.run.violations.is_empty()
+}
+
+/// Print a time-travel stop and its trace tail; true if the run up to
+/// the stop kept its invariants.
+fn print_time_travel(path: &str, r: &chaos::TimeTravelReport) -> bool {
+    println!(
+        "time travel {path}: {} {} (checkpoint seq {}, stop seq {})",
+        r.dump.scenario, r.dump.plan_name, r.dump.seq0, r.stop_seq
+    );
+    println!(
+        "  stopped at seq {} after {} cycles ({} events re-emitted) -> {}",
+        r.seq_reached,
+        r.cycles,
+        r.events_replayed,
+        if r.reached {
+            "REACHED"
+        } else {
+            "run ended first"
+        }
+    );
+    println!("  exit: {:?}, violations: {}", r.exit, r.violations.len());
+    print!("{}", r.tail_jsonl);
+    r.violations.is_empty()
 }

@@ -5,7 +5,9 @@
 //! preemptions and frame exhaustion are exactly the events real hardware
 //! produces at arbitrary points (context switches, shootdowns, capacity
 //! pressure, memory pressure). This module sweeps seeds × fault plans ×
-//! scenarios and demands:
+//! scenarios (Wilander cells, a benign loop, a self-patcher and the
+//! two-guest fork/COW interference image) and judges every combo against
+//! an [`Expect`]:
 //!
 //! * **verdict stability** — under every *perturbation* plan (flushes,
 //!   evictions, preemptions, window faults) the outcome is byte-identical
@@ -18,23 +20,32 @@
 //!   pages);
 //! * **invariants hold** — [`sm_core::invariants::check`] passes between
 //!   every execution slice of every run.
+//!
+//! Every combo takes one path: [`run_scenario`] runs it (optionally
+//! checkpointing), [`sweep`] fans combos out, [`ComboResult::problems`]
+//! judges them, and a failing combo becomes one [`FailureDump`] record
+//! that [`replay_dump`] restores.
 
+use crate::interference::{interference_program, PAYLOAD_MARKER, VICTIM_CORRUPTED};
 use rayon::prelude::*;
 use sm_attacks::harness::{classify_marker, kernel_with_on, AttackOutcome};
 use sm_attacks::wilander::{self, Case, MARKER};
 use sm_core::invariants::{self, Violation};
 use sm_core::setup::Protection;
-use sm_kernel::events::ResponseMode;
+use sm_kernel::events::{Event, ResponseMode};
 use sm_kernel::image::ExecImage;
-use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
+use sm_kernel::kernel::{Kernel, KernelConfig, RunExit, SpawnError};
 use sm_kernel::process::Pid;
 use sm_kernel::snapshot as ksnap;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
 use sm_machine::chaos::FaultPlan;
 use sm_machine::sha256::sha256;
 use sm_machine::snapshot::{read_plan, write_plan, Reader, SnapshotError, Writer};
+use sm_machine::tlb::TlbGeometry;
 use sm_machine::trace::TraceRecord;
 use sm_machine::TlbPreset;
+use std::collections::HashMap;
+use std::sync::{LazyLock, Mutex};
 
 /// Cycle budget every chaos run gets before it is declared hung.
 pub const RUN_MAX_CYCLES: u64 = 80_000_000;
@@ -153,8 +164,18 @@ pub fn oom_plans(seed: u64) -> Vec<NamedPlan> {
     ]
 }
 
+/// Find a named fault plan by label across the perturbation and OOM
+/// families.
+pub fn plan_by_name(name: &str, seed: u64) -> Option<FaultPlan> {
+    perturbation_plans(seed)
+        .into_iter()
+        .chain(oom_plans(seed))
+        .find(|np| np.name == name)
+        .map(|np| np.plan)
+}
+
 /// What to run under a fault plan.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scenario {
     /// One cell of the Wilander-style injection matrix; the verdict is the
     /// [`AttackOutcome`].
@@ -167,6 +188,15 @@ pub enum Scenario {
     /// memory the patch must silently NOT take effect (paper §7), under
     /// any fault plan whatsoever.
     MixedPatch,
+    /// The two-guest fork/COW image
+    /// ([`interference_program`]): the attacker injects into a
+    /// COW-shared buffer, the victim re-reads it. The verdict is both
+    /// guests' exit statuses and the attacker's detections; `asid` runs
+    /// it on ASID-tagged TLBs instead of flush-on-switch.
+    Interference {
+        /// Select ASID-tagged TLBs.
+        asid: bool,
+    },
 }
 
 impl Scenario {
@@ -176,6 +206,38 @@ impl Scenario {
             Scenario::Wilander(c) => format!("wilander-{:?}-{:?}", c.technique, c.location),
             Scenario::Benign => "benign".into(),
             Scenario::MixedPatch => "mixed-patch".into(),
+            Scenario::Interference { asid } => {
+                format!("interference-{}", if *asid { "asid" } else { "flush" })
+            }
+        }
+    }
+
+    /// The guest image. Assembly is a pure function of the scenario
+    /// (independent of plan, seed and protection) and costs more than a
+    /// short chaos run, so the process assembles each scenario once and
+    /// hands out clones.
+    fn image(&self) -> ExecImage {
+        static IMAGES: LazyLock<Mutex<HashMap<Scenario, ExecImage>>> =
+            LazyLock::new(Mutex::default);
+        let assemble = || match self {
+            Scenario::Wilander(case) => wilander::build_case(*case).expect("applicable case").image,
+            Scenario::Benign => benign_program().image,
+            Scenario::MixedPatch => mixed_patch_program().image,
+            Scenario::Interference { .. } => interference_program().image,
+        };
+        let mut images = IMAGES
+            .lock()
+            .expect("no assembly panicked holding the image cache");
+        images.entry(*self).or_insert_with(assemble).clone()
+    }
+
+    /// Exit status that proves the attacker's payload ran, for scenarios
+    /// with an attacker.
+    fn marker(&self) -> Option<u8> {
+        match self {
+            Scenario::Wilander(_) => Some(MARKER),
+            Scenario::Interference { .. } => Some(PAYLOAD_MARKER),
+            Scenario::Benign | Scenario::MixedPatch => None,
         }
     }
 }
@@ -228,309 +290,74 @@ pub struct ChaosRun {
     /// True if the attacker got code execution (always false for benign
     /// scenarios).
     pub attack_succeeded: bool,
+    /// `AttackDetected` events attributed to the spawned guest.
+    pub detections: usize,
+    /// True if an interference victim saw the attacker's bytes (COW
+    /// isolation failure); always false for one-guest scenarios.
+    pub victim_corrupted: bool,
     /// How the kernel run ended.
     pub exit: RunExit,
     /// Invariant violations observed between slices (must be empty).
     pub violations: Vec<Violation>,
 }
 
-/// Run one scenario under one plan, checking invariants between slices.
-pub fn run_scenario(scenario: Scenario, protection: &Protection, plan: FaultPlan) -> ChaosRun {
-    let (image, marker) = scenario_image(scenario);
-    run_image_on(&image, marker, protection, TlbPreset::default(), plan)
-}
-
-/// Build a scenario's guest image. Assembly is a pure function of the
-/// scenario (and independent of plan/seed/protection), so sweeps build each
-/// image once and share it across all of the scenario's combos.
-fn scenario_image(scenario: Scenario) -> (ExecImage, Option<u8>) {
-    match scenario {
-        Scenario::Wilander(case) => (
-            wilander::build_case(case).expect("applicable case").image,
-            Some(MARKER),
-        ),
-        Scenario::Benign => (benign_program().image, None),
-        Scenario::MixedPatch => (mixed_patch_program().image, None),
-    }
-}
-
-/// Run one prebuilt image under one plan, checking invariants between
-/// slices.
-fn run_image_on(
-    image: &ExecImage,
+/// Read a finished run's verdict. `pid` is the spawned guest (`None`
+/// when the load itself ran out of memory); for a two-guest run it is
+/// the attacker and its fork child is the victim. Shared by the runner
+/// and by dump replay, so both agree on what a verdict string looks
+/// like.
+fn classify(
+    k: &Kernel,
+    pid: Option<Pid>,
     marker: Option<u8>,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: FaultPlan,
+    two_guests: bool,
+    exit: RunExit,
+    violations: Vec<Violation>,
 ) -> ChaosRun {
-    run_image_traced_on(image, marker, protection, tlb, plan, 0).0
-}
-
-/// [`run_scenario`] with the trace subsystem enabled, on an explicit TLB
-/// geometry (chaos evictions are set-aware, so determinism and verdict
-/// stability must hold per `(plan, seed, geometry)`): re-runs one
-/// `(scenario, plan)` combo with `trace_mask` layers recorded and returns
-/// the run plus the ring buffer's contents as JSONL (the last
-/// [`sm_trace::Tracer::DEFAULT_CAPACITY`] events). Used by the chaos bin's
-/// `--trace` mode to dump the event tail of a failing combo, and by CI to
-/// produce a schema-checkable sample.
-pub fn run_scenario_traced_on(
-    scenario: Scenario,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: FaultPlan,
-    trace_mask: u32,
-) -> (ChaosRun, String) {
-    let (image, marker) = scenario_image(scenario);
-    run_image_traced_on(&image, marker, protection, tlb, plan, trace_mask)
-}
-
-fn run_image_traced_on(
-    image: &ExecImage,
-    marker: Option<u8>,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: FaultPlan,
-    trace_mask: u32,
-) -> (ChaosRun, String) {
-    let kconfig = KernelConfig {
-        aslr_stack: false,
-        chaos: plan,
-        trace: trace_mask,
-        ..KernelConfig::default()
+    let mut run = ChaosRun {
+        verdict: "spawn-oom".into(),
+        attack_succeeded: false,
+        detections: 0,
+        victim_corrupted: false,
+        exit,
+        violations,
     };
-    let mut k = kernel_with_on(protection, tlb, kconfig);
-    let pid = match k.spawn(image) {
-        Ok(pid) => pid,
-        Err(sm_kernel::kernel::SpawnError::OutOfMemory) => {
-            // A clean refusal at load time is a legitimate OOM-plan
-            // outcome: nothing ran, nothing leaked.
-            return (
-                ChaosRun {
-                    verdict: "spawn-oom".into(),
-                    attack_succeeded: false,
-                    exit: RunExit::AllExited,
-                    violations: invariants::check(&k),
-                },
-                k.sys.machine.tracer.to_jsonl(),
-            );
-        }
-        Err(e) => panic!("spawn failed: {e:?}"),
+    let Some(pid) = pid else {
+        return run;
     };
-    let (exit, violations) = invariants::run_with_checks(&mut k, RUN_MAX_CYCLES, RUN_STRIDE);
-    let (verdict, attack_succeeded) = classify_run(&k, pid, marker);
-    (
-        ChaosRun {
-            verdict,
-            attack_succeeded,
-            exit,
-            violations,
-        },
-        k.sys.machine.tracer.to_jsonl(),
-    )
-}
-
-/// Map a finished kernel to a compact verdict label and an
-/// attacker-got-execution flag. Shared by the plain, traced and
-/// checkpointed runners and by dump replay, so all four agree on what a
-/// verdict string looks like.
-fn classify_run(k: &Kernel, pid: Pid, marker: Option<u8>) -> (String, bool) {
-    match marker {
-        Some(m) => {
-            let outcome = classify_marker(k, pid, m);
-            let label = match &outcome {
-                AttackOutcome::ShellSpawned => "shell".to_string(),
-                AttackOutcome::PayloadExecuted => "payload".to_string(),
-                AttackOutcome::Foiled { detected } => format!("foiled(detected={detected})"),
-            };
-            (label, outcome.succeeded())
-        }
-        None => (
-            format!(
-                "exit={:?}",
-                k.sys.procs.get(&pid.0).and_then(|p| p.exit_code)
-            ),
-            false,
-        ),
-    }
-}
-
-/// Find a named fault plan by label across the perturbation and OOM
-/// families (for re-running a reported combo, e.g. under `--trace`).
-pub fn plan_by_name(name: &str, seed: u64) -> Option<FaultPlan> {
-    perturbation_plans(seed)
-        .into_iter()
-        .chain(oom_plans(seed))
-        .find(|np| np.name == name)
-        .map(|np| np.plan)
-}
-
-/// One line of a sweep report.
-#[derive(Debug, Clone)]
-pub struct ComboResult {
-    /// Scenario label.
-    pub scenario: String,
-    /// Plan label.
-    pub plan: &'static str,
-    /// Plan seed.
-    pub seed: u64,
-    /// The run itself.
-    pub run: ChaosRun,
-    /// The fault-free verdict this combo was compared against.
-    pub baseline: String,
-    /// `verdict == baseline` (only enforced for perturbation plans).
-    pub verdict_stable: bool,
-}
-
-/// Sweep `seeds × perturbation_plans × scenarios` under `protection`,
-/// comparing every verdict to the fault-free baseline, then run the OOM
-/// plans under combined mode (NX backstops degraded pages) demanding
-/// attacks never succeed. Returns every combo result; the caller asserts.
-pub fn sweep(seeds: &[u64], scenarios: &[Scenario], protection: &Protection) -> Vec<ComboResult> {
-    sweep_on(seeds, scenarios, protection, TlbPreset::default())
-}
-
-/// [`sweep`] on an explicit TLB geometry. Combos fan out across threads
-/// (each combo owns its seeded fault stream and its own kernel, so runs
-/// are independent); results are merged in deterministic scenario-major
-/// order, byte-identical to [`sweep_serial`] on the default geometry.
-pub fn sweep_on(
-    seeds: &[u64],
-    scenarios: &[Scenario],
-    protection: &Protection,
-    tlb: TlbPreset,
-) -> Vec<ComboResult> {
-    sweep_plans_on(seeds, scenarios, protection, tlb, perturbation_plans, true)
-}
-
-/// Single-threaded [`sweep`], kept as the reference the parallel sweep is
-/// tested byte-identical against.
-pub fn sweep_serial(
-    seeds: &[u64],
-    scenarios: &[Scenario],
-    protection: &Protection,
-) -> Vec<ComboResult> {
-    let tlb = TlbPreset::default();
-    let mut out = Vec::new();
-    for &scenario in scenarios {
-        let (image, marker) = scenario_image(scenario);
-        let baseline = run_image_on(&image, marker, protection, tlb, FaultPlan::default());
-        for &seed in seeds {
-            for np in perturbation_plans(seed) {
-                let run = run_image_on(&image, marker, protection, tlb, np.plan);
-                let stable = run.verdict == baseline.verdict;
-                out.push(ComboResult {
-                    scenario: scenario.name(),
-                    plan: np.name,
-                    seed,
-                    verdict_stable: stable,
-                    baseline: baseline.verdict.clone(),
-                    run,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Shared sweep machinery: prebuild every scenario image, run the
-/// fault-free baselines in parallel, then fan every `(scenario, seed,
-/// plan)` combo out and zip results back in input (scenario-major) order.
-fn sweep_plans_on(
-    seeds: &[u64],
-    scenarios: &[Scenario],
-    protection: &Protection,
-    tlb: TlbPreset,
-    plans: fn(u64) -> Vec<NamedPlan>,
-    enforce_stability: bool,
-) -> Vec<ComboResult> {
-    let prepped: Vec<(Scenario, ExecImage, Option<u8>)> = scenarios
+    let exit_code = |p: u32| k.sys.procs.get(&p).and_then(|p| p.exit_code);
+    run.detections = k
+        .sys
+        .events
         .iter()
-        .map(|&s| {
-            let (image, marker) = scenario_image(s);
-            (s, image, marker)
-        })
-        .collect();
-    let baselines: Vec<ChaosRun> = prepped
-        .par_iter()
-        .map(|(_, image, marker)| {
-            run_image_on(image, *marker, protection, tlb, FaultPlan::default())
-        })
-        .collect();
-    let combos: Vec<(usize, u64, NamedPlan)> = (0..prepped.len())
-        .flat_map(|si| {
-            seeds
-                .iter()
-                .flat_map(move |&seed| plans(seed).into_iter().map(move |np| (si, seed, np)))
-        })
-        .collect();
-    let runs: Vec<ChaosRun> = combos
-        .par_iter()
-        .map(|&(si, _, np)| {
-            let (_, image, marker) = &prepped[si];
-            run_image_on(image, *marker, protection, tlb, np.plan)
-        })
-        .collect();
-    combos
-        .into_iter()
-        .zip(runs)
-        .map(|((si, seed, np), run)| {
-            let baseline = &baselines[si];
-            ComboResult {
-                scenario: prepped[si].0.name(),
-                plan: np.name,
-                seed,
-                verdict_stable: !enforce_stability || run.verdict == baseline.verdict,
-                baseline: baseline.verdict.clone(),
-                run,
-            }
-        })
-        .collect()
+        .filter(|e| matches!(e, Event::AttackDetected { pid: p, .. } if *p == pid))
+        .count();
+    let outcome = marker.map(|m| classify_marker(k, pid, m));
+    run.attack_succeeded = outcome.as_ref().is_some_and(AttackOutcome::succeeded);
+    if two_guests {
+        let victim = k.sys.procs.keys().find(|&&p| p != pid.0);
+        let victim_exit = victim.and_then(|&p| exit_code(p));
+        run.victim_corrupted = victim_exit == Some(VICTIM_CORRUPTED);
+        run.verdict = format!(
+            "attacker={:?} victim={victim_exit:?} detections={}",
+            exit_code(pid.0),
+            run.detections
+        );
+        return run;
+    }
+    run.verdict = match outcome {
+        Some(AttackOutcome::ShellSpawned) => "shell".into(),
+        Some(AttackOutcome::PayloadExecuted) => "payload".into(),
+        Some(AttackOutcome::Foiled { detected }) => format!("foiled(detected={detected})"),
+        None => format!("exit={:?}", exit_code(pid.0)),
+    };
+    run
 }
 
-/// Sweep the OOM plans. Verdicts may change; attack success and invariant
-/// violations may not. Runs under the given protection (use combined mode
-/// so the execute-disable bit backstops degraded pages).
-pub fn sweep_oom(
-    seeds: &[u64],
-    scenarios: &[Scenario],
-    protection: &Protection,
-) -> Vec<ComboResult> {
-    sweep_oom_on(seeds, scenarios, protection, TlbPreset::default())
-}
-
-/// [`sweep_oom`] on an explicit TLB geometry (parallel, deterministic
-/// order; `verdict_stable` is not enforced for OOM plans).
-pub fn sweep_oom_on(
-    seeds: &[u64],
-    scenarios: &[Scenario],
-    protection: &Protection,
-    tlb: TlbPreset,
-) -> Vec<ComboResult> {
-    sweep_plans_on(seeds, scenarios, protection, tlb, oom_plans, false)
-}
-
-// ---- checkpointed runs + failure dumps ------------------------------------
-//
-// A checkpointed run snapshots the whole kernel every `every` slices. When
-// the run fails (or is worth preserving), the *latest good* snapshot plus
-// everything needed to finish the run — the fault plan, combo metadata and
-// the expected verdict — is serialized into a self-contained `.smcdump`
-// file. `replay_dump` restores it and re-executes only the tail, and
-// because the simulation is deterministic the replay reproduces the same
-// verdict and splices into the byte-identical trace stream.
-//
-// Checkpointing itself runs under fault injection: if the plan arms
-// `snap_fault_every`, every n-th snapshot is corrupted (truncation,
-// bit-flip, section reorder, version skew) before validation. A corrupted
-// snapshot must be *detected and discarded* — the runner keeps the previous
-// good checkpoint and carries on, which is exactly the graceful degradation
-// a production checkpoint subsystem owes its caller.
-
-/// Result of one checkpointed chaos run.
+/// Result of one chaos run, with its checkpoints if it took any.
 #[derive(Debug, Clone)]
 pub struct Checkpointed {
-    /// The run verdict, exactly as the uncheckpointed runner reports it.
+    /// The run verdict.
     pub run: ChaosRun,
     /// Final trace-ring contents as JSONL.
     pub jsonl: String,
@@ -572,100 +399,88 @@ pub struct Cadence {
     pub stride: u64,
 }
 
-/// Run one scenario under one plan, checkpointing on `cadence` and
-/// injecting snapshot faults per the plan's `snap_fault_every`.
-pub fn run_scenario_checkpointed_on(
+/// Run one scenario under one plan on `tlb`, checking invariants between
+/// slices and recording the `trace_mask` layers (the final ring comes
+/// back as JSONL). Without a cadence the run slices at [`RUN_STRIDE`]
+/// and takes no checkpoint; with one it snapshots on the cadence and
+/// injects snapshot faults per the plan's `snap_fault_every`. Chaos
+/// evictions are set-aware, so determinism and verdict stability must
+/// hold per `(plan, seed, geometry)`.
+pub fn run_scenario(
     scenario: Scenario,
     protection: &Protection,
     tlb: TlbPreset,
     plan: FaultPlan,
     trace_mask: u32,
-    cadence: Cadence,
+    cadence: Option<Cadence>,
 ) -> Checkpointed {
-    let (image, marker) = scenario_image(scenario);
-    let every = cadence.every.max(1);
-    let stride = cadence.stride.max(1);
     let kconfig = KernelConfig {
         aslr_stack: false,
         chaos: plan,
         trace: trace_mask,
+        asid_tlbs: matches!(scenario, Scenario::Interference { asid: true }),
         ..KernelConfig::default()
     };
     let mut k = kernel_with_on(protection, tlb, kconfig);
-    let pid = match k.spawn(&image) {
-        Ok(pid) => pid,
-        Err(sm_kernel::kernel::SpawnError::OutOfMemory) => {
-            return Checkpointed {
-                run: ChaosRun {
-                    verdict: "spawn-oom".into(),
-                    attack_succeeded: false,
-                    exit: RunExit::AllExited,
-                    violations: invariants::check(&k),
-                },
-                jsonl: k.sys.machine.tracer.to_jsonl(),
-                marker,
-                pid: 0,
-                deadline: k.sys.machine.cycles,
-                checkpoints_taken: 0,
-                snap_faults_injected: 0,
-                snap_faults_undetected: 0,
-                snapshot: None,
-                snapshot_slice: 0,
-                snapshot_seq: 0,
-                tail_jsonl: String::new(),
-                tail_sha: sha256(b""),
-            };
-        }
+    let pid = match k.spawn(&scenario.image()) {
+        Ok(pid) => Some(pid),
+        // A clean refusal at load time is a legitimate OOM-plan outcome:
+        // nothing ran, nothing leaked.
+        Err(SpawnError::OutOfMemory) => None,
         Err(e) => panic!("spawn failed: {e:?}"),
     };
+    // The deadline counts from the end of the load: replay restores a
+    // checkpoint and runs to this same absolute cycle.
     let deadline = k.sys.machine.cycles.saturating_add(RUN_MAX_CYCLES);
+    let stride = cadence.map_or(RUN_STRIDE, |c| c.stride.max(1));
+    let every = cadence.map(|c| c.every.max(1));
     let mut latest: Option<(Vec<u8>, u64, u64)> = None;
     let mut taken = 0u64;
     let mut injected = 0u64;
     let mut undetected = 0u64;
-    let (exit, violations) =
-        invariants::run_with_checks_hook(&mut k, RUN_MAX_CYCLES, stride, |k, slice| {
-            if slice % every != 0 {
-                return;
-            }
-            let mut bytes = ksnap::save(k);
-            // The snapshot-op clock is independent of the step/fs streams,
-            // so taking (or faulting) checkpoints never perturbs the run
-            // being checkpointed — the property the splice test pins.
-            match k.sys.chaos.as_mut().and_then(|c| c.on_snapshot_op()) {
-                Some(fault) => {
-                    injected += 1;
-                    let fseed = plan.seed ^ k.sys.chaos.as_ref().map_or(0, |c| c.stats.snap_ops);
-                    ksnap::corrupt_snapshot(&mut bytes, fault, fseed);
-                    if ksnap::validate(&bytes).is_ok() {
-                        undetected += 1;
-                    }
-                    // Detected → discard; the previous good checkpoint
-                    // stays live.
+    let checkpoint = |k: &mut Kernel, slice: u64| {
+        if !every.is_some_and(|every| slice.is_multiple_of(every)) {
+            return;
+        }
+        let mut bytes = ksnap::save(k);
+        // The snapshot-op clock is independent of the step/fs streams, so
+        // taking (or faulting) checkpoints never perturbs the run being
+        // checkpointed — the property the splice test pins.
+        match k.sys.chaos.as_mut().and_then(|c| c.on_snapshot_op()) {
+            Some(fault) => {
+                injected += 1;
+                let fseed = plan.seed ^ k.sys.chaos.as_ref().map_or(0, |c| c.stats.snap_ops);
+                ksnap::corrupt_snapshot(&mut bytes, fault, fseed);
+                if ksnap::validate(&bytes).is_ok() {
+                    undetected += 1;
                 }
-                None => {
-                    let seq = k.sys.machine.tracer.emitted();
-                    latest = Some((bytes, slice, seq));
-                    taken += 1;
-                }
+                // Detected → discard; the previous good checkpoint stays
+                // live.
             }
-        });
-    let (verdict, attack_succeeded) = classify_run(&k, pid, marker);
+            None => {
+                let seq = k.sys.machine.tracer.emitted();
+                latest = Some((bytes, slice, seq));
+                taken += 1;
+            }
+        }
+    };
+    let (exit, violations) = match pid {
+        Some(_) => invariants::run_with_checks_hook(&mut k, RUN_MAX_CYCLES, stride, checkpoint),
+        None => (RunExit::AllExited, invariants::check(&k)),
+    };
+    let marker = scenario.marker();
+    let two_guests = matches!(scenario, Scenario::Interference { .. });
+    let run = classify(&k, pid, marker, two_guests, exit, violations);
     let (snapshot, snapshot_slice, snapshot_seq) = match latest {
         Some((bytes, slice, seq)) => (Some(bytes), slice, seq),
         None => (None, 0, 0),
     };
     let tail = tail_jsonl(&k.sys.machine.tracer.snapshot(), snapshot_seq);
     Checkpointed {
-        run: ChaosRun {
-            verdict,
-            attack_succeeded,
-            exit,
-            violations,
-        },
+        run,
         jsonl: k.sys.machine.tracer.to_jsonl(),
         marker,
-        pid: pid.0,
+        pid: pid.map_or(0, |p| p.0),
         deadline,
         checkpoints_taken: taken,
         snap_faults_injected: injected,
@@ -677,6 +492,185 @@ pub fn run_scenario_checkpointed_on(
         tail_jsonl: tail,
     }
 }
+
+/// What a sweep demands of every combo, on top of clean invariants.
+#[derive(Debug, Clone, Copy)]
+pub enum Expect {
+    /// The verdict equals the fault-free baseline and the run does not
+    /// livelock (perturbation plans).
+    Stable,
+    /// Every guest exits; the verdict may vary with the plan (the
+    /// self-patcher, whose patch outcome is legitimately plan-dependent).
+    Converges,
+    /// The attack never succeeds; the verdict may vary (OOM plans).
+    NoAttack,
+    /// The interference image: the injection runs iff `works`, is
+    /// detected when it must not run, never reaches the victim, and the
+    /// verdict is stable without livelock.
+    Injection {
+        /// Whether the injected payload must execute.
+        works: bool,
+    },
+}
+
+/// One line of a sweep report.
+#[derive(Debug, Clone)]
+pub struct ComboResult {
+    /// What ran.
+    pub scenario: Scenario,
+    /// The plan it ran under.
+    pub plan: NamedPlan,
+    /// Plan seed.
+    pub seed: u64,
+    /// The run itself.
+    pub run: ChaosRun,
+    /// The fault-free verdict this combo was compared against.
+    pub baseline: String,
+    /// `verdict == baseline`.
+    pub verdict_stable: bool,
+}
+
+impl ComboResult {
+    fn new(
+        scenario: Scenario,
+        plan: NamedPlan,
+        seed: u64,
+        run: ChaosRun,
+        baseline: &ChaosRun,
+    ) -> Self {
+        ComboResult {
+            scenario,
+            plan,
+            seed,
+            verdict_stable: run.verdict == baseline.verdict,
+            baseline: baseline.verdict.clone(),
+            run,
+        }
+    }
+
+    /// Everything this combo did that `expect` forbids, as report
+    /// messages; empty when the combo passes. Every expectation demands
+    /// clean invariants.
+    pub fn problems(&self, expect: Expect) -> Vec<String> {
+        let run = &self.run;
+        let mut bad = Vec::new();
+        let unstable = || format!("verdict {:?} != baseline {:?}", run.verdict, self.baseline);
+        match expect {
+            Expect::Stable if !self.verdict_stable => bad.push(unstable()),
+            Expect::NoAttack if run.attack_succeeded => {
+                bad.push(format!("attack succeeded under OOM: {}", run.verdict));
+            }
+            Expect::Injection { works } => {
+                if run.attack_succeeded != works {
+                    bad.push(format!(
+                        "attack_succeeded={} (want {works}): {}",
+                        run.attack_succeeded, run.verdict
+                    ));
+                }
+                if !works && run.detections == 0 {
+                    bad.push("injection not detected".into());
+                }
+                if run.victim_corrupted {
+                    bad.push("victim saw attacker bytes through COW".into());
+                }
+                if !self.verdict_stable {
+                    bad.push(unstable());
+                }
+            }
+            _ => {}
+        }
+        if !run.violations.is_empty() {
+            bad.push(format!("{} invariant violations", run.violations.len()));
+        }
+        match expect {
+            Expect::Converges if run.exit != RunExit::AllExited => {
+                bad.push(format!("did not converge: {:?}", run.exit));
+            }
+            Expect::Stable | Expect::Injection { .. }
+                if matches!(run.exit, RunExit::Livelock { .. }) =>
+            {
+                bad.push("livelock".into());
+            }
+            _ => {}
+        }
+        bad
+    }
+}
+
+/// Sweep `seeds × plans × scenarios` under `protection` on `tlb`,
+/// comparing every verdict to its scenario's fault-free baseline. Combos
+/// fan out across threads (each owns its seeded fault stream and its
+/// own kernel, so runs are independent); results come back in
+/// scenario-major input order, byte-identical to [`sweep_serial`].
+pub fn sweep(
+    seeds: &[u64],
+    scenarios: &[Scenario],
+    protection: &Protection,
+    tlb: TlbPreset,
+    plans: fn(u64) -> Vec<NamedPlan>,
+) -> Vec<ComboResult> {
+    let run = |s: Scenario, plan| run_scenario(s, protection, tlb, plan, 0, None).run;
+    let baselines: Vec<ChaosRun> = scenarios
+        .par_iter()
+        .map(|&s| run(s, FaultPlan::default()))
+        .collect();
+    let combos: Vec<(usize, u64, NamedPlan)> = (0..scenarios.len())
+        .flat_map(|si| {
+            seeds
+                .iter()
+                .flat_map(move |&seed| plans(seed).into_iter().map(move |np| (si, seed, np)))
+        })
+        .collect();
+    let runs: Vec<ChaosRun> = combos
+        .par_iter()
+        .map(|&(si, _, np)| run(scenarios[si], np.plan))
+        .collect();
+    combos
+        .into_iter()
+        .zip(runs)
+        .map(|((si, seed, np), r)| ComboResult::new(scenarios[si], np, seed, r, &baselines[si]))
+        .collect()
+}
+
+/// Single-threaded [`sweep`], kept as the reference the parallel sweep is
+/// tested byte-identical against.
+pub fn sweep_serial(
+    seeds: &[u64],
+    scenarios: &[Scenario],
+    protection: &Protection,
+    tlb: TlbPreset,
+    plans: fn(u64) -> Vec<NamedPlan>,
+) -> Vec<ComboResult> {
+    let run = |s: Scenario, plan| run_scenario(s, protection, tlb, plan, 0, None).run;
+    let mut out = Vec::new();
+    for &scenario in scenarios {
+        let baseline = run(scenario, FaultPlan::default());
+        for &seed in seeds {
+            for np in plans(seed) {
+                let r = run(scenario, np.plan);
+                out.push(ComboResult::new(scenario, np, seed, r, &baseline));
+            }
+        }
+    }
+    out
+}
+
+// ---- checkpointed runs + failure dumps ------------------------------------
+//
+// A checkpointed run snapshots the whole kernel every `every` slices. When
+// the run fails (or is worth preserving), the *latest good* snapshot plus
+// everything needed to finish the run — the fault plan, combo metadata and
+// the expected verdict — is serialized into a self-contained `.smcdump`
+// file. `replay_dump` restores it and re-executes only the tail, and
+// because the simulation is deterministic the replay reproduces the same
+// verdict and splices into the byte-identical trace stream.
+//
+// Checkpointing itself runs under fault injection: if the plan arms
+// `snap_fault_every`, every n-th snapshot is corrupted (truncation,
+// bit-flip, section reorder, version skew) before validation. A corrupted
+// snapshot must be *detected and discarded* — the runner keeps the previous
+// good checkpoint and carries on, which is exactly the graceful degradation
+// a production checkpoint subsystem owes its caller.
 
 /// Serialize the trace records with `seq >= seq0` as JSONL, oldest first.
 /// Both sides of a replay compute this over their final ring; equality of
@@ -690,14 +684,15 @@ pub fn tail_jsonl(records: &[TraceRecord], seq0: u64) -> String {
     out
 }
 
-/// Everything a replay needs, gathered from a [`Checkpointed`] run plus
-/// the combo metadata the sweep knew.
+/// Everything a replay needs: a checkpointed run's latest good snapshot
+/// plus the combo metadata the sweep knew. [`write_dump`] encodes it, and
+/// replay decodes the same record back, field for field.
 #[derive(Debug, Clone)]
 pub struct FailureDump {
     /// Scenario label (provenance; the snapshot carries the actual guest).
     pub scenario: String,
     /// Plan label.
-    pub plan_name: &'static str,
+    pub plan_name: String,
     /// Protection the combo ran under (rebuilt on replay to restore the
     /// engine).
     pub protection: Protection,
@@ -785,13 +780,13 @@ pub fn write_dump(d: &FailureDump) -> Result<Vec<u8>, String> {
     w.raw(&DUMP_MAGIC);
     w.u32(DUMP_VERSION);
     w.str(&d.scenario);
-    w.str(d.plan_name);
+    w.str(&d.plan_name);
     w.u8(kind);
     w.u8(mode);
-    w.u64(d.tlb.itlb.sets as u64);
-    w.u64(d.tlb.itlb.ways as u64);
-    w.u64(d.tlb.dtlb.sets as u64);
-    w.u64(d.tlb.dtlb.ways as u64);
+    for g in [d.tlb.itlb, d.tlb.dtlb] {
+        w.u64(g.sets as u64);
+        w.u64(g.ways as u64);
+    }
     write_plan(&mut w, &d.plan);
     w.opt_u32(d.marker.map(u32::from));
     w.u32(d.pid);
@@ -809,109 +804,13 @@ pub fn write_dump(d: &FailureDump) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// Run a combo checkpointed and package its latest good snapshot as a
-/// dump. The dump's expected verdict is the verdict the checkpointed run
-/// itself produced.
-///
-/// # Errors
-///
-/// If the run finished before its first checkpoint (nothing to dump), a
-/// snapshot fault was missed, or the protection cannot be encoded.
-pub fn checkpointed_dump(
-    scenario: Scenario,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan_name: &'static str,
-    plan: FaultPlan,
-    trace_mask: u32,
-    cadence: Cadence,
-) -> Result<(Checkpointed, Vec<u8>), String> {
-    let cp = run_scenario_checkpointed_on(scenario, protection, tlb, plan, trace_mask, cadence);
-    if cp.snap_faults_undetected > 0 {
-        return Err(format!(
-            "{} corrupted snapshot(s) passed validation",
-            cp.snap_faults_undetected
-        ));
-    }
-    let snapshot = cp
-        .snapshot
-        .clone()
-        .ok_or("run finished before the first checkpoint; nothing to dump")?;
-    let dump = write_dump(&FailureDump {
-        scenario: scenario.name(),
-        plan_name,
-        protection: protection.clone(),
-        tlb,
-        plan,
-        marker: cp.marker,
-        pid: cp.pid,
-        trace_mask,
-        slice: cp.snapshot_slice,
-        seq0: cp.snapshot_seq,
-        deadline: cp.deadline,
-        stride: cadence.stride.max(1),
-        expected_verdict: cp.run.verdict.clone(),
-        tail_sha: cp.tail_sha,
-        snapshot,
-    })?;
-    Ok((cp, dump))
-}
-
-/// What a replay established.
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Scenario label from the dump header.
-    pub scenario: String,
-    /// Plan label from the dump header.
-    pub plan_name: String,
-    /// The embedded fault plan.
-    pub plan: FaultPlan,
-    /// Slice the restored snapshot was taken at.
-    pub slice: u64,
-    /// Verdict the original run produced.
-    pub expected_verdict: String,
-    /// Verdict the replay produced.
-    pub verdict: String,
-    /// `verdict == expected_verdict`.
-    pub verdict_matches: bool,
-    /// The replayed trace tail hashed byte-identical to the original's.
-    pub splice_matches: bool,
-    /// Attacker got execution during the replayed tail.
-    pub attack_succeeded: bool,
-    /// How the replayed tail ended.
-    pub exit: RunExit,
-    /// Invariant violations during the replayed tail (must be empty).
-    pub violations: Vec<Violation>,
-    /// Trace events the replay re-emitted past the checkpoint.
-    pub events_replayed: usize,
-}
-
-/// A decoded dump: every header field plus the embedded snapshot, ready
-/// to restore. Shared by deadline replay and time-travel replay so both
-/// reject malformed input identically.
-struct ParsedDump {
-    scenario: String,
-    plan_name: String,
-    protection: Protection,
-    plan: FaultPlan,
-    marker: Option<u8>,
-    pid: u32,
-    slice: u64,
-    seq0: u64,
-    deadline: u64,
-    stride: u64,
-    expected_verdict: String,
-    tail_sha: [u8; 32],
-    snapshot: Vec<u8>,
-}
-
 /// Decode and integrity-check a dump without restoring it.
 ///
 /// # Errors
 ///
 /// A human-readable message for every malformed, corrupted or
 /// version-skewed dump — parsing never panics on bad input.
-fn parse_dump(bytes: &[u8]) -> Result<ParsedDump, String> {
+fn parse_dump(bytes: &[u8]) -> Result<FailureDump, String> {
     let s = |e: SnapshotError| format!("malformed dump: {e}");
     if bytes.len() < DUMP_MAGIC.len() + 32 {
         return Err("dump too short".into());
@@ -935,7 +834,7 @@ fn parse_dump(bytes: &[u8]) -> Result<ParsedDump, String> {
     let protection = protection_from_tags(kind, mode)?;
     // Geometry is provenance (the snapshot carries the live TLBs), but a
     // nonsense header still means a corrupted or foreign file.
-    for _ in 0..2 {
+    let mut geometry = || -> Result<TlbGeometry, String> {
         let sets = r.u64().map_err(s)?;
         let ways = r.u64().map_err(s)?;
         if sets == 0 || !sets.is_power_of_two() || sets > MAX_DUMP_GEOMETRY {
@@ -944,11 +843,16 @@ fn parse_dump(bytes: &[u8]) -> Result<ParsedDump, String> {
         if ways == 0 || ways > MAX_DUMP_GEOMETRY {
             return Err(format!("implausible TLB way count {ways}"));
         }
-    }
+        Ok(TlbGeometry::new(sets as usize, ways as usize))
+    };
+    let tlb = TlbPreset {
+        itlb: geometry()?,
+        dtlb: geometry()?,
+    };
     let plan = read_plan(&mut r).map_err(s)?;
     let marker = r.opt_u32().map_err(s)?.map(|v| v as u8);
     let pid = r.u32().map_err(s)?;
-    let _trace_mask = r.u32().map_err(s)?;
+    let trace_mask = r.u32().map_err(s)?;
     let slice = r.u64().map_err(s)?;
     let seq0 = r.u64().map_err(s)?;
     let deadline = r.u64().map_err(s)?;
@@ -963,13 +867,15 @@ fn parse_dump(bytes: &[u8]) -> Result<ParsedDump, String> {
     if !r.is_done() {
         return Err("trailing bytes after dump payload".into());
     }
-    Ok(ParsedDump {
+    Ok(FailureDump {
         scenario,
         plan_name,
         protection,
+        tlb,
         plan,
         marker,
         pid,
+        trace_mask,
         slice,
         seq0,
         deadline,
@@ -978,6 +884,113 @@ fn parse_dump(bytes: &[u8]) -> Result<ParsedDump, String> {
         tail_sha,
         snapshot,
     })
+}
+
+/// Run a combo checkpointed and package its latest good snapshot as a
+/// dump. The dump's expected verdict is the verdict the checkpointed run
+/// itself produced.
+///
+/// # Errors
+///
+/// If the scenario is the two-guest interference image (the dump header
+/// classifies one guest), the run finished before its first checkpoint
+/// (nothing to dump), a snapshot fault was missed, or the protection
+/// cannot be encoded.
+pub fn checkpointed_dump(
+    scenario: Scenario,
+    protection: &Protection,
+    tlb: TlbPreset,
+    plan: NamedPlan,
+    trace_mask: u32,
+    cadence: Cadence,
+) -> Result<(Checkpointed, Vec<u8>), String> {
+    if matches!(scenario, Scenario::Interference { .. }) {
+        return Err(format!("{} has no dump encoding", scenario.name()));
+    }
+    let cp = run_scenario(
+        scenario,
+        protection,
+        tlb,
+        plan.plan,
+        trace_mask,
+        Some(cadence),
+    );
+    if cp.snap_faults_undetected > 0 {
+        return Err(format!(
+            "{} corrupted snapshot(s) passed validation",
+            cp.snap_faults_undetected
+        ));
+    }
+    let snapshot = cp
+        .snapshot
+        .clone()
+        .ok_or("run finished before the first checkpoint; nothing to dump")?;
+    let dump = write_dump(&FailureDump {
+        scenario: scenario.name(),
+        plan_name: plan.name.into(),
+        protection: protection.clone(),
+        tlb,
+        plan: plan.plan,
+        marker: cp.marker,
+        pid: cp.pid,
+        trace_mask,
+        slice: cp.snapshot_slice,
+        seq0: cp.snapshot_seq,
+        deadline: cp.deadline,
+        stride: cadence.stride.max(1),
+        expected_verdict: cp.run.verdict.clone(),
+        tail_sha: cp.tail_sha,
+        snapshot,
+    })?;
+    Ok((cp, dump))
+}
+
+/// Restore a dump's snapshot and drive it on the original run's slice
+/// boundaries toward its deadline, checking invariants between slices.
+/// With `stop_seq` the run instead stops at the first instruction
+/// boundary at or past that trace seq ([`Kernel::run_to_seq`] keeps the
+/// scheduler's quantum clipping, so every instruction up to the stop is
+/// one the full replay executes). Returns the kernel, how the run ended,
+/// the violations and whether the stop was reached.
+fn drive_dump(
+    d: &FailureDump,
+    stop_seq: Option<u64>,
+) -> Result<(Kernel, RunExit, Vec<Violation>, bool), String> {
+    let mut k = ksnap::restore(&d.snapshot, d.protection.engine())
+        .map_err(|e| format!("embedded snapshot rejected: {e}"))?;
+    loop {
+        let remaining = d.deadline.saturating_sub(k.sys.machine.cycles);
+        let budget = d.stride.min(remaining);
+        let exit = match stop_seq {
+            Some(seq) => k.run_to_seq(budget, seq),
+            None => k.run(budget),
+        };
+        if stop_seq.is_some_and(|seq| k.sys.machine.tracer.emitted() >= seq) {
+            return Ok((k, exit, Vec::new(), true));
+        }
+        let done = exit != RunExit::CyclesExhausted || remaining <= d.stride;
+        let mut violations = invariants::check(&k);
+        violations.extend(invariants::check_trace(&k, exit == RunExit::AllExited));
+        if !violations.is_empty() || done {
+            return Ok((k, exit, violations, false));
+        }
+    }
+}
+
+/// What a replay established.
+#[derive(Debug, Clone)]
+pub struct ReplayReport {
+    /// The replayed dump.
+    pub dump: FailureDump,
+    /// The replayed tail's verdict, exit and invariant violations (which
+    /// must be empty).
+    pub run: ChaosRun,
+    /// The replay reproduced `dump.expected_verdict`.
+    pub verdict_matches: bool,
+    /// The replayed trace tail hashed byte-identical to the original's.
+    pub splice_matches: bool,
+    /// Trace events the replay re-emitted past the checkpoint.
+    pub events_replayed: usize,
 }
 
 /// Restore a dump and re-run it from the checkpoint to its original
@@ -989,38 +1002,31 @@ fn parse_dump(bytes: &[u8]) -> Result<ParsedDump, String> {
 /// A human-readable message for every malformed, corrupted or
 /// version-skewed dump — replay never panics on bad input.
 pub fn replay_dump(bytes: &[u8]) -> Result<ReplayReport, String> {
-    let d = parse_dump(bytes)?;
-    let mut k = ksnap::restore(&d.snapshot, d.protection.engine())
-        .map_err(|e| format!("embedded snapshot rejected: {e}"))?;
-    let remaining = d.deadline.saturating_sub(k.sys.machine.cycles);
-    let (exit, violations) = invariants::run_with_checks(&mut k, remaining, d.stride);
-    let (verdict, attack_succeeded) = classify_run(&k, Pid(d.pid), d.marker);
-    let tail = tail_jsonl(&k.sys.machine.tracer.snapshot(), d.seq0);
-    Ok(ReplayReport {
-        scenario: d.scenario,
-        plan_name: d.plan_name,
-        plan: d.plan,
-        slice: d.slice,
-        verdict_matches: verdict == d.expected_verdict,
-        expected_verdict: d.expected_verdict,
-        verdict,
-        splice_matches: sha256(tail.as_bytes()) == d.tail_sha,
-        attack_succeeded,
+    let dump = parse_dump(bytes)?;
+    let (k, exit, violations, _) = drive_dump(&dump, None)?;
+    let run = classify(
+        &k,
+        Some(Pid(dump.pid)),
+        dump.marker,
+        false,
         exit,
         violations,
+    );
+    let tail = tail_jsonl(&k.sys.machine.tracer.snapshot(), dump.seq0);
+    Ok(ReplayReport {
+        verdict_matches: run.verdict == dump.expected_verdict,
+        splice_matches: sha256(tail.as_bytes()) == dump.tail_sha,
         events_replayed: tail.lines().count(),
+        dump,
+        run,
     })
 }
 
 /// What a time-travel replay established.
 #[derive(Debug, Clone)]
 pub struct TimeTravelReport {
-    /// Scenario label from the dump header.
-    pub scenario: String,
-    /// Plan label from the dump header.
-    pub plan_name: String,
-    /// Trace seq at the restored checkpoint.
-    pub seq0: u64,
+    /// The replayed dump.
+    pub dump: FailureDump,
     /// The seq the caller asked to stop at.
     pub stop_seq: u64,
     /// Seq actually reached — the first instruction boundary at or past
@@ -1047,14 +1053,9 @@ pub struct TimeTravelReport {
 
 /// Restore a dump and run it **to an arbitrary mid-run trace seq** rather
 /// than the original deadline: time travel to the moment just after the
-/// `stop_seq`-th trace event.
-///
-/// Slice geometry (per-slice cycle budgets clipped against the original
-/// deadline, invariant checks on the same boundaries) is identical to
-/// [`replay_dump`], and [`Kernel::run_to_seq`] preserves the scheduler's
-/// quantum clipping inside each slice — so every instruction executed up
-/// to the stop is the one the full replay executes, and the machine state
-/// returned is exactly the original run's state at that point.
+/// `stop_seq`-th trace event. Slices, deadline and invariant checks are
+/// [`replay_dump`]'s, so the machine state returned is exactly the
+/// original run's state at that point.
 ///
 /// # Errors
 ///
@@ -1062,39 +1063,19 @@ pub struct TimeTravelReport {
 /// checkpoint's own seq — events before the checkpoint were only retained
 /// in the final ring, so rewinding before `seq0` needs an earlier dump.
 pub fn replay_dump_to_seq(bytes: &[u8], stop_seq: u64) -> Result<TimeTravelReport, String> {
-    let d = parse_dump(bytes)?;
-    if stop_seq < d.seq0 {
+    let dump = parse_dump(bytes)?;
+    if stop_seq < dump.seq0 {
         return Err(format!(
             "stop seq {stop_seq} precedes the checkpoint (seq {}); \
              time travel cannot rewind before the restored snapshot — \
              use a dump with an earlier checkpoint",
-            d.seq0
+            dump.seq0
         ));
     }
-    let mut k = ksnap::restore(&d.snapshot, d.protection.engine())
-        .map_err(|e| format!("embedded snapshot rejected: {e}"))?;
-    let deadline = d.deadline;
-    let stride = d.stride;
-    let mut exit;
-    let mut violations = Vec::new();
-    let reached = loop {
-        let remaining = deadline.saturating_sub(k.sys.machine.cycles);
-        exit = k.run_to_seq(stride.min(remaining), stop_seq);
-        if k.sys.machine.tracer.emitted() >= stop_seq {
-            break true;
-        }
-        let done = exit != RunExit::CyclesExhausted || remaining <= stride;
-        violations = invariants::check(&k);
-        violations.extend(invariants::check_trace(&k, exit == RunExit::AllExited));
-        if !violations.is_empty() || done {
-            break false;
-        }
-    };
-    let tail = tail_jsonl(&k.sys.machine.tracer.snapshot(), d.seq0);
+    let (k, exit, violations, reached) = drive_dump(&dump, Some(stop_seq))?;
+    let tail = tail_jsonl(&k.sys.machine.tracer.snapshot(), dump.seq0);
     Ok(TimeTravelReport {
-        scenario: d.scenario,
-        plan_name: d.plan_name,
-        seq0: d.seq0,
+        dump,
         stop_seq,
         seq_reached: k.sys.machine.tracer.emitted(),
         reached,
@@ -1109,6 +1090,15 @@ pub fn replay_dump_to_seq(bytes: &[u8], stop_seq: u64) -> Result<TimeTravelRepor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_machine::trace::mask;
+
+    fn golden_dump_bytes() -> Vec<u8> {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/chaos_demo.smcdump"
+        );
+        std::fs::read(path).expect("golden dump is checked in")
+    }
 
     /// The checked-in golden dump's kernel snapshot restores under the
     /// dump's own protection and re-saves byte for byte. The round-trip
@@ -1118,12 +1108,7 @@ mod tests {
     /// fails here.
     #[test]
     fn golden_dump_snapshot_resaves_byte_for_byte() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/golden/chaos_demo.smcdump"
-        );
-        let bytes = std::fs::read(path).expect("golden dump is checked in");
-        let d = parse_dump(&bytes).expect("golden dump parses");
+        let d = parse_dump(&golden_dump_bytes()).expect("golden dump parses");
         assert!(
             matches!(d.protection, Protection::SplitMem(ResponseMode::Break)),
             "golden dump protection: {:?}",
@@ -1139,5 +1124,140 @@ mod tests {
             resaved.len(),
             d.snapshot.len()
         );
+    }
+
+    /// `parse_dump` reads back every field `write_dump` writes: the
+    /// golden re-encodes to its own bytes, and a fresh dump parses back
+    /// to the record it was written from.
+    #[test]
+    fn dump_record_round_trips() {
+        let golden = golden_dump_bytes();
+        let d = parse_dump(&golden).expect("golden dump parses");
+        assert!(write_dump(&d).expect("golden re-encodes") == golden);
+
+        let scenario = Scenario::Wilander(
+            wilander::all_cases()
+                .into_iter()
+                .find(Case::applicable)
+                .expect("an applicable wilander case"),
+        );
+        let split = Protection::SplitMem(ResponseMode::Break);
+        let tlb = TlbPreset::pentium3();
+        let plan = NamedPlan {
+            name: "round-trip",
+            plan: FaultPlan {
+                evict_every: Some(17),
+                seed: 5,
+                ..FaultPlan::default()
+            },
+        };
+        let cadence = Cadence {
+            every: 2,
+            stride: 500,
+        };
+        let (cp, dump) =
+            checkpointed_dump(scenario, &split, tlb, plan, mask::ALL, cadence).expect("dumps");
+        let want = FailureDump {
+            scenario: scenario.name(),
+            plan_name: plan.name.into(),
+            protection: split,
+            tlb,
+            plan: plan.plan,
+            marker: cp.marker,
+            pid: cp.pid,
+            trace_mask: mask::ALL,
+            slice: cp.snapshot_slice,
+            seq0: cp.snapshot_seq,
+            deadline: cp.deadline,
+            stride: cadence.stride,
+            expected_verdict: cp.run.verdict.clone(),
+            tail_sha: cp.tail_sha,
+            snapshot: cp.snapshot.clone().expect("checkpoint exists"),
+        };
+        let got = parse_dump(&dump).expect("fresh dump parses");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+
+    /// The interference image has no dump encoding: the dump header
+    /// classifies one guest.
+    #[test]
+    fn interference_combo_is_refused_a_dump() {
+        let err = checkpointed_dump(
+            Scenario::Interference { asid: false },
+            &Protection::SplitMem(ResponseMode::Break),
+            TlbPreset::default(),
+            perturbation_plans(1)[0],
+            mask::ALL,
+            Cadence {
+                every: 1,
+                stride: 500,
+            },
+        )
+        .expect_err("interference cannot be dumped");
+        assert!(err.contains("no dump encoding"), "{err}");
+    }
+
+    fn combo(verdict: &str, attack_succeeded: bool, exit: RunExit) -> ComboResult {
+        let baseline = "foiled(detected=true)";
+        ComboResult {
+            scenario: Scenario::Benign,
+            plan: perturbation_plans(1)[0],
+            seed: 1,
+            run: ChaosRun {
+                verdict: verdict.into(),
+                attack_succeeded,
+                detections: 0,
+                victim_corrupted: false,
+                exit,
+                violations: Vec::new(),
+            },
+            baseline: baseline.into(),
+            verdict_stable: verdict == baseline,
+        }
+    }
+
+    /// What each expectation flags and what it tolerates.
+    #[test]
+    fn each_expectation_flags_only_what_it_forbids() {
+        let changed = combo("exit=Some(0)", false, RunExit::AllExited);
+        assert_eq!(
+            changed.problems(Expect::Stable),
+            ["verdict \"exit=Some(0)\" != baseline \"foiled(detected=true)\""]
+        );
+        assert!(changed.problems(Expect::NoAttack).is_empty());
+        assert!(changed.problems(Expect::Converges).is_empty());
+
+        let livelock = combo(
+            "foiled(detected=true)",
+            false,
+            RunExit::Livelock {
+                pid: Pid(1),
+                eip: 0,
+            },
+        );
+        assert_eq!(livelock.problems(Expect::Stable), ["livelock"]);
+        assert!(livelock.problems(Expect::NoAttack).is_empty());
+
+        let payload = combo("payload", true, RunExit::AllExited);
+        assert_eq!(
+            payload.problems(Expect::NoAttack),
+            ["attack succeeded under OOM: payload"]
+        );
+        assert!(payload
+            .problems(Expect::Injection { works: false })
+            .iter()
+            .any(|p| p.starts_with("attack_succeeded=true (want false)")));
+        let mut works = payload.clone();
+        works.verdict_stable = true;
+        assert!(works.problems(Expect::Injection { works: true }).is_empty());
+
+        let mut dirty = combo("foiled(detected=true)", false, RunExit::AllExited);
+        dirty.run.violations.push(Violation::FrameAccounting {
+            allocated: 1,
+            tracked: 0,
+        });
+        for expect in [Expect::Stable, Expect::Converges, Expect::NoAttack] {
+            assert_eq!(dirty.problems(expect), ["1 invariant violations"]);
+        }
     }
 }

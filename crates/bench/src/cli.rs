@@ -8,9 +8,12 @@ use std::fs::OpenOptions;
 /// neither one of `switches` nor one of `valued` (flags that take the
 /// next argument as their value, unless it starts with `--`) is a usage
 /// error: prints `<bin>: unrecognised argument <arg>` and `usage` to
-/// stderr and exits with status 2.
+/// stderr and exits with status 2. So is a flag given twice (`<bin>:
+/// <flag> given twice`), which would otherwise have one of its values
+/// silently ignored.
 pub fn checked_args(bin: &str, usage: &str, switches: &[&str], valued: &[&str]) -> Vec<String> {
     let args: Vec<String> = std::env::args().collect();
+    let mut seen = Vec::new();
     let mut rest = args.iter().skip(1).map(String::as_str).peekable();
     while let Some(a) = rest.next() {
         if valued.contains(&a) {
@@ -18,6 +21,10 @@ pub fn checked_args(bin: &str, usage: &str, switches: &[&str], valued: &[&str]) 
         } else if !switches.contains(&a) {
             usage_error(bin, usage, &format!("unrecognised argument {a}"));
         }
+        if seen.contains(&a) {
+            usage_error(bin, usage, &format!("{a} given twice"));
+        }
+        seen.push(a);
     }
     args
 }

@@ -1,4 +1,4 @@
-//! Two-guest cross-process interference sweep.
+//! The two-guest cross-process interference guest and its summary probe.
 //!
 //! One image forks into an attacker and a victim sharing every data frame
 //! copy-on-write. The attacker injects a payload into a COW-shared buffer
@@ -8,7 +8,7 @@
 //! chaos harness's forced preemptions move the interleaving points between
 //! arbitrary instruction pairs of either guest.
 //!
-//! Demanded outcomes:
+//! The chaos sweep runs it as [`Scenario::Interference`] and demands:
 //!
 //! * **unprotected** — the injection works (the attacker exits with the
 //!   payload's marker status), proving the attack is real;
@@ -18,19 +18,17 @@
 //! * **always** — the victim's view of the buffer stays pristine (COW
 //!   isolation), invariants hold between every slice, and verdicts are
 //!   byte-identical across fault plans, thread counts and runs.
+//!
+//! [`Scenario::Interference`]: crate::chaos::Scenario::Interference
 
-use crate::chaos::{perturbation_plans, NamedPlan};
+use crate::chaos::{RUN_MAX_CYCLES, RUN_STRIDE};
 use crate::summary::{InterferenceCounters, ProcessProbe};
-use rayon::prelude::*;
 use sm_attacks::shellcode::{self, as_byte_directive};
-use sm_core::invariants::{self, Violation};
+use sm_core::invariants;
 use sm_core::setup::Protection;
 use sm_kernel::events::Event;
-use sm_kernel::image::ExecImage;
-use sm_kernel::kernel::{KernelConfig, RunExit};
-use sm_kernel::process::Pid;
+use sm_kernel::kernel::KernelConfig;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
-use sm_machine::chaos::FaultPlan;
 
 /// Exit status the injected payload reports — seeing it as the attacker's
 /// exit code proves the injected bytes executed.
@@ -97,89 +95,6 @@ pub fn interference_program() -> BuiltProgram {
         .expect("interference program assembles")
 }
 
-/// Outcome of one two-guest run.
-#[derive(Debug, Clone)]
-pub struct InterferenceRun {
-    /// Compact verdict label (compared across plans for stability).
-    pub verdict: String,
-    /// Attacker (fork parent) exit status.
-    pub attacker_exit: Option<i32>,
-    /// Victim (fork child) exit status.
-    pub victim_exit: Option<i32>,
-    /// `AttackDetected` events attributed to the attacker.
-    pub detections: usize,
-    /// True if the injected payload ran (attacker exited with the marker).
-    pub attack_succeeded: bool,
-    /// True if the victim ever saw the attacker's bytes.
-    pub victim_corrupted: bool,
-    /// How the kernel run ended.
-    pub exit: RunExit,
-    /// Invariant violations observed between slices (must be empty).
-    pub violations: Vec<Violation>,
-}
-
-/// Run the two-guest image under one plan, checking cross-process
-/// invariants between slices. `asid_tlbs` selects ASID-tagged TLBs instead
-/// of the default flush-on-switch model.
-pub fn run_interference(
-    protection: &Protection,
-    plan: FaultPlan,
-    asid_tlbs: bool,
-) -> InterferenceRun {
-    let image = interference_program().image;
-    run_image(&image, protection, plan, asid_tlbs)
-}
-
-fn run_image(
-    image: &ExecImage,
-    protection: &Protection,
-    plan: FaultPlan,
-    asid_tlbs: bool,
-) -> InterferenceRun {
-    let kconfig = KernelConfig {
-        aslr_stack: false,
-        chaos: plan,
-        asid_tlbs,
-        ..KernelConfig::default()
-    };
-    let mut k = protection.kernel(kconfig);
-    let parent = k.spawn(image).expect("interference image spawns");
-    let (exit, violations) = invariants::run_with_checks(&mut k, 80_000_000, 100_000);
-    let child = k
-        .sys
-        .procs
-        .keys()
-        .find(|&&p| p != parent.0)
-        .copied()
-        .map(Pid);
-    let exit_of = |p: Option<Pid>| {
-        p.and_then(|p| k.sys.procs.get(&p.0))
-            .and_then(|p| p.exit_code)
-    };
-    let attacker_exit = exit_of(Some(parent));
-    let victim_exit = exit_of(child);
-    let detections = k
-        .sys
-        .events
-        .iter()
-        .filter(|e| matches!(e, Event::AttackDetected { pid, .. } if *pid == parent))
-        .count();
-    let attack_succeeded = attacker_exit == Some(PAYLOAD_MARKER as i32);
-    let victim_corrupted = victim_exit == Some(VICTIM_CORRUPTED);
-    InterferenceRun {
-        verdict: format!(
-            "attacker={attacker_exit:?} victim={victim_exit:?} detections={detections}"
-        ),
-        attacker_exit,
-        victim_exit,
-        detections,
-        attack_succeeded,
-        victim_corrupted,
-        exit,
-        violations,
-    }
-}
-
 /// Run the two-guest image fault-free and collect the kernel- and
 /// per-process counters for the machine-readable benchmark summary.
 pub fn probe(protection: &Protection, asid_tlbs: bool) -> InterferenceCounters {
@@ -191,7 +106,7 @@ pub fn probe(protection: &Protection, asid_tlbs: bool) -> InterferenceCounters {
     };
     let mut k = protection.kernel(kconfig);
     let parent = k.spawn(&image).expect("interference image spawns");
-    let _ = invariants::run_with_checks(&mut k, 80_000_000, 100_000);
+    let _ = invariants::run_with_checks(&mut k, RUN_MAX_CYCLES, RUN_STRIDE);
     let mut processes: Vec<ProcessProbe> = k
         .sys
         .procs
@@ -223,95 +138,33 @@ pub fn probe(protection: &Protection, asid_tlbs: bool) -> InterferenceCounters {
     }
 }
 
-/// One line of an interference sweep report.
-#[derive(Debug, Clone)]
-pub struct InterferenceCombo {
-    /// Plan label.
-    pub plan: &'static str,
-    /// Plan seed.
-    pub seed: u64,
-    /// The run itself.
-    pub run: InterferenceRun,
-    /// The fault-free verdict this combo was compared against.
-    pub baseline: String,
-    /// `verdict == baseline`.
-    pub verdict_stable: bool,
-}
-
-/// Sweep `seeds × perturbation plans` for the two-guest image under
-/// `protection`. Combos fan out across threads (each owns its seeded
-/// fault stream and kernel); results are merged in deterministic input
-/// order, byte-identical to [`sweep_interference_serial`].
-pub fn sweep_interference(
-    seeds: &[u64],
-    protection: &Protection,
-    asid_tlbs: bool,
-) -> Vec<InterferenceCombo> {
-    let image = interference_program().image;
-    let baseline = run_image(&image, protection, FaultPlan::default(), asid_tlbs);
-    let combos: Vec<(u64, NamedPlan)> = seeds
-        .iter()
-        .flat_map(|&seed| {
-            perturbation_plans(seed)
-                .into_iter()
-                .map(move |np| (seed, np))
-        })
-        .collect();
-    let runs: Vec<InterferenceRun> = combos
-        .par_iter()
-        .map(|&(_, np)| run_image(&image, protection, np.plan, asid_tlbs))
-        .collect();
-    combos
-        .into_iter()
-        .zip(runs)
-        .map(|((seed, np), run)| InterferenceCombo {
-            plan: np.name,
-            seed,
-            verdict_stable: run.verdict == baseline.verdict,
-            baseline: baseline.verdict.clone(),
-            run,
-        })
-        .collect()
-}
-
-/// Single-threaded [`sweep_interference`], kept as the reference the
-/// parallel sweep is tested byte-identical against.
-pub fn sweep_interference_serial(
-    seeds: &[u64],
-    protection: &Protection,
-    asid_tlbs: bool,
-) -> Vec<InterferenceCombo> {
-    let image = interference_program().image;
-    let baseline = run_image(&image, protection, FaultPlan::default(), asid_tlbs);
-    let mut out = Vec::new();
-    for &seed in seeds {
-        for np in perturbation_plans(seed) {
-            let run = run_image(&image, protection, np.plan, asid_tlbs);
-            out.push(InterferenceCombo {
-                plan: np.name,
-                seed,
-                verdict_stable: run.verdict == baseline.verdict,
-                baseline: baseline.verdict.clone(),
-                run,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{run_scenario, ChaosRun, Scenario};
     use sm_kernel::events::ResponseMode;
+    use sm_kernel::kernel::RunExit;
+    use sm_machine::chaos::FaultPlan;
+    use sm_machine::TlbPreset;
+
+    fn run(protection: &Protection, asid: bool) -> ChaosRun {
+        let scenario = Scenario::Interference { asid };
+        let plan = FaultPlan::default();
+        run_scenario(scenario, protection, TlbPreset::default(), plan, 0, None).run
+    }
+
+    fn victim_clean(r: &ChaosRun) -> bool {
+        r.verdict.contains(&format!("victim=Some({VICTIM_CLEAN})"))
+    }
 
     #[test]
     fn unprotected_injection_crosses_the_fork_and_runs() {
-        let r = run_interference(&Protection::Unprotected, FaultPlan::default(), false);
+        let r = run(&Protection::Unprotected, false);
         assert!(r.attack_succeeded, "verdict: {}", r.verdict);
-        assert_eq!(
-            r.victim_exit,
-            Some(VICTIM_CLEAN),
-            "COW must isolate the victim"
+        assert!(
+            victim_clean(&r),
+            "COW must isolate the victim: {}",
+            r.verdict
         );
         assert!(!r.victim_corrupted);
         assert_eq!(r.exit, RunExit::AllExited);
@@ -320,24 +173,11 @@ mod tests {
     #[test]
     fn split_memory_detects_the_cross_process_injection() {
         for asid in [false, true] {
-            let r = run_interference(
-                &Protection::SplitMem(ResponseMode::Break),
-                FaultPlan::default(),
-                asid,
-            );
+            let r = run(&Protection::SplitMem(ResponseMode::Break), asid);
             assert!(!r.attack_succeeded, "asid={asid}: verdict: {}", r.verdict);
             assert!(r.detections >= 1, "asid={asid}: verdict: {}", r.verdict);
-            assert_eq!(r.victim_exit, Some(VICTIM_CLEAN), "asid={asid}");
+            assert!(victim_clean(&r), "asid={asid}: verdict: {}", r.verdict);
             assert!(r.violations.is_empty(), "asid={asid}: {:?}", r.violations);
         }
-    }
-
-    #[test]
-    fn parallel_interference_sweep_matches_serial() {
-        let seeds = [1u64];
-        let split = Protection::SplitMem(ResponseMode::Break);
-        let par = sweep_interference(&seeds, &split, false);
-        let ser = sweep_interference_serial(&seeds, &split, false);
-        assert_eq!(format!("{par:?}"), format!("{ser:?}"));
     }
 }

@@ -196,25 +196,32 @@ fn perturbed_attack_verdicts_match_the_fault_free_run() {
         location: InjectLocation::Stack,
     };
     let scenarios = [Scenario::Wilander(case), Scenario::Benign];
-    let results = chaos::sweep(&[7], &scenarios, &split_break());
+    let results = chaos::sweep(
+        &[7],
+        &scenarios,
+        &split_break(),
+        TlbPreset::default(),
+        chaos::perturbation_plans,
+    );
     assert!(!results.is_empty());
     for r in &results {
+        let (scenario, plan) = (r.scenario.name(), r.plan.name);
         assert!(
             r.verdict_stable,
             "{}/{} seed={}: verdict {:?} != baseline {:?}",
-            r.scenario, r.plan, r.seed, r.run.verdict, r.baseline
+            scenario, plan, r.seed, r.run.verdict, r.baseline
         );
         assert!(
             r.run.violations.is_empty(),
             "{}/{}: violations {:?}",
-            r.scenario,
-            r.plan,
+            scenario,
+            plan,
             r.run.violations
         );
         assert!(
             !r.run.attack_succeeded,
             "{}/{} attack succeeded",
-            r.scenario, r.plan
+            scenario, plan
         );
     }
 }
@@ -228,19 +235,26 @@ fn oom_plans_never_let_the_attack_win() {
         location: InjectLocation::Stack,
     };
     let scenarios = [Scenario::Wilander(case)];
-    let results = chaos::sweep_oom(&[7], &scenarios, &Protection::Combined(ResponseMode::Break));
+    let results = chaos::sweep(
+        &[7],
+        &scenarios,
+        &Protection::Combined(ResponseMode::Break),
+        TlbPreset::default(),
+        chaos::oom_plans,
+    );
     assert!(!results.is_empty());
     for r in &results {
+        let (scenario, plan) = (r.scenario.name(), r.plan.name);
         assert!(
             !r.run.attack_succeeded,
             "{}/{}: attack succeeded under OOM ({})",
-            r.scenario, r.plan, r.run.verdict
+            scenario, plan, r.run.verdict
         );
         assert!(
             r.run.violations.is_empty(),
             "{}/{}: violations {:?}",
-            r.scenario,
-            r.plan,
+            scenario,
+            plan,
             r.run.violations
         );
     }

@@ -304,6 +304,90 @@ fn fleet_quick_keeps_explicit_flags() {
     );
 }
 
+/// A command line that names two modes, a sweep switch outside the
+/// sweep, or any flag twice is a usage error: exit 2, nothing on stdout
+/// and no artifact written, instead of one flag silently winning.
+#[test]
+fn conflicting_or_repeated_flags_are_usage_errors() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/chaos_demo.smcdump"
+    );
+    let dump = scratch("conflict.smcdump");
+    let _ = std::fs::remove_file(&dump);
+    let out_path = dump.to_str().unwrap();
+    let cases: [(&[&str], &str); 7] = [
+        (
+            &["--replay", golden, "--dump-demo", out_path],
+            "--replay and --dump-demo cannot be combined",
+        ),
+        (
+            &["--fleet", "--dump-demo", out_path],
+            "--dump-demo and --fleet cannot be combined",
+        ),
+        (
+            &["--fleet", "--quick"],
+            "--quick only applies to the sweep, not --fleet",
+        ),
+        (
+            &["--dump-demo", out_path, "--trace"],
+            "--trace only applies to the sweep, not --dump-demo",
+        ),
+        (
+            &["--replay", golden, "--quick"],
+            "--quick only applies to the sweep, not --replay",
+        ),
+        (
+            &["--replay", golden, "--replay", "other.smcdump"],
+            "--replay given twice",
+        ),
+        (&["--quick", "--trace", "--quick"], "--quick given twice"),
+    ];
+    for (args, needle) in cases {
+        let out = run(args);
+        assert_typed_failure(&out, needle);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting");
+    }
+    assert!(!dump.exists(), "a usage error must not write the dump");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
+        .args(["--tenants", "5", "--tenants", "6"])
+        .output()
+        .expect("fleet bin runs");
+    assert_typed_failure(&out, "fleet: --tenants given twice");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "the fleet ran");
+}
+
+/// The exact bytes `--dump-demo` writes. The checked-in golden dump is
+/// deliberately older (it proves old dumps still restore), so this is
+/// the check that a change meant to keep results leaves the dump writer,
+/// the demo combo's run and its checkpoints alone. After an intentional
+/// change to the dump or snapshot format or to the demo run, regenerate
+/// the digest with `cargo run --release --bin chaos -- --dump-demo
+/// demo.smcdump && sha256sum demo.smcdump`.
+#[test]
+fn dump_demo_writes_the_pinned_bytes() {
+    let dump = scratch("pinned_demo.smcdump");
+    let out = run(&["--dump-demo", dump.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "dump-demo failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let bytes = std::fs::read(&dump).expect("dump-demo wrote its dump");
+    let hex: String = sm_machine::sha256::sha256(&bytes)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(bytes.len(), 35_907);
+    assert_eq!(
+        hex,
+        "e0c94f54ea0ab15f7cf96a4c99282f1c28f155182b99aaec7030bc74ade91658"
+    );
+}
+
 #[test]
 fn stop_seq_without_replay_is_a_usage_error() {
     let out = run(&["--stop-seq", "5"]);

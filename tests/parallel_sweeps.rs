@@ -6,7 +6,7 @@
 //! scheduling-order leakage into results).
 
 use sm_attacks::wilander::{Case, InjectLocation, Technique};
-use sm_bench::chaos::{self, Scenario};
+use sm_bench::chaos::{self, oom_plans, perturbation_plans, Scenario};
 use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
 use sm_machine::TlbPreset;
@@ -35,12 +35,25 @@ fn lines(results: &[chaos::ComboResult]) -> Vec<String> {
 fn parallel_sweep_is_byte_identical_to_serial() {
     let seeds = [1u64, 2];
     let split = Protection::SplitMem(ResponseMode::Break);
-    let serial = lines(&chaos::sweep_serial(&seeds, &scenarios(), &split));
-    let parallel = lines(&chaos::sweep(&seeds, &scenarios(), &split));
+    let tlb = TlbPreset::default();
+    let serial = lines(&chaos::sweep_serial(
+        &seeds,
+        &scenarios(),
+        &split,
+        tlb,
+        perturbation_plans,
+    ));
+    let parallel = lines(&chaos::sweep(
+        &seeds,
+        &scenarios(),
+        &split,
+        tlb,
+        perturbation_plans,
+    ));
     assert_eq!(serial, parallel);
     // The sweep must also be exhaustive: every scenario × seed × plan combo
     // appears exactly once, in scenario-major order.
-    let expected = scenarios().len() * seeds.len() * chaos::perturbation_plans(1).len();
+    let expected = scenarios().len() * seeds.len() * perturbation_plans(1).len();
     assert_eq!(parallel.len(), expected);
 }
 
@@ -49,32 +62,38 @@ fn parallel_sweep_is_deterministic_across_runs() {
     let seeds = [3u64];
     let split = Protection::SplitMem(ResponseMode::Break);
     let tlb = TlbPreset::pentium3();
-    let first = lines(&chaos::sweep_on(&seeds, &scenarios(), &split, tlb));
-    let second = lines(&chaos::sweep_on(&seeds, &scenarios(), &split, tlb));
+    let sweep = || chaos::sweep(&seeds, &scenarios(), &split, tlb, perturbation_plans);
+    let first = lines(&sweep());
+    let second = lines(&sweep());
     assert_eq!(first, second);
 }
 
 #[test]
 fn interference_sweep_is_byte_identical_to_serial_and_across_runs() {
-    // The two-guest fork/COW sweep gets the same pure-speedup guarantee:
-    // whatever RAYON_NUM_THREADS is pinned to, results must match the
-    // single-threaded reference byte for byte, run after run.
-    use sm_bench::interference;
+    // The two-guest fork/COW scenario gets the same pure-speedup
+    // guarantee: whatever RAYON_NUM_THREADS is pinned to, results must
+    // match the single-threaded reference byte for byte, run after run.
     let seeds = [2u64];
     let split = Protection::SplitMem(ResponseMode::Break);
-    let render = |combos: &[interference::InterferenceCombo]| -> Vec<String> {
-        combos.iter().map(|c| format!("{c:?}")).collect()
-    };
-    let serial = render(&interference::sweep_interference_serial(
-        &seeds, &split, false,
+    let tlb = TlbPreset::default();
+    let interference = [
+        Scenario::Interference { asid: false },
+        Scenario::Interference { asid: true },
+    ];
+    let sweep = || chaos::sweep(&seeds, &interference, &split, tlb, perturbation_plans);
+    let serial = lines(&chaos::sweep_serial(
+        &seeds,
+        &interference,
+        &split,
+        tlb,
+        perturbation_plans,
     ));
-    let parallel = render(&interference::sweep_interference(&seeds, &split, false));
+    let parallel = lines(&sweep());
     assert_eq!(serial, parallel);
-    let again = render(&interference::sweep_interference(&seeds, &split, false));
-    assert_eq!(parallel, again);
+    assert_eq!(parallel, lines(&sweep()));
     assert_eq!(
         parallel.len(),
-        seeds.len() * chaos::perturbation_plans(2).len()
+        interference.len() * seeds.len() * perturbation_plans(2).len()
     );
 }
 
@@ -83,14 +102,17 @@ fn parallel_oom_sweep_is_deterministic_across_runs() {
     let seeds = [1u64, 2];
     let combined = Protection::Combined(ResponseMode::Break);
     let tlb = TlbPreset::default();
-    let first = lines(&chaos::sweep_oom_on(&seeds, &scenarios(), &combined, tlb));
-    let second = lines(&chaos::sweep_oom_on(&seeds, &scenarios(), &combined, tlb));
+    let sweep = || chaos::sweep(&seeds, &scenarios(), &combined, tlb, oom_plans);
+    let first = lines(&sweep());
+    let second = lines(&sweep());
     assert_eq!(first, second);
-    for r in chaos::sweep_oom_on(&seeds, &scenarios(), &combined, tlb) {
+    for r in sweep() {
         assert!(
             !r.run.attack_succeeded,
             "attack succeeded under OOM: {} {} seed={}",
-            r.scenario, r.plan, r.seed
+            r.scenario.name(),
+            r.plan.name,
+            r.seed
         );
     }
 }

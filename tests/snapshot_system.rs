@@ -22,7 +22,7 @@
 
 use proptest::prelude::*;
 use sm_attacks::wilander;
-use sm_bench::chaos::{self, Scenario};
+use sm_bench::chaos::{self, NamedPlan, Scenario};
 use sm_bench::interference;
 use sm_core::invariants;
 use sm_core::setup::Protection;
@@ -67,7 +67,7 @@ fn dump_of(
 ) -> Vec<u8> {
     chaos::write_dump(&chaos::FailureDump {
         scenario: scenario.name(),
-        plan_name: "test",
+        plan_name: "test".into(),
         protection: protection.clone(),
         tlb: TlbPreset::default(),
         plan,
@@ -115,15 +115,14 @@ proptest! {
             snap_fault_every: Some(3),
             ..plans[plan_idx % plans.len()].plan
         };
-        let (plain, plain_jsonl) =
-            chaos::run_scenario_traced_on(scenario, &protection, tlb, plan, mask::ALL);
-        let cp = chaos::run_scenario_checkpointed_on(
-            scenario, &protection, tlb, plan, mask::ALL, chaos::Cadence { every, stride: 500 },
+        let plain = chaos::run_scenario(scenario, &protection, tlb, plan, mask::ALL, None);
+        let cp = chaos::run_scenario(
+            scenario, &protection, tlb, plan, mask::ALL, Some(chaos::Cadence { every, stride: 500 }),
         );
         // Checkpointing (and snapshot-fault injection) is invisible to
         // the guest.
-        prop_assert_eq!(&cp.run.verdict, &plain.verdict);
-        prop_assert_eq!(&cp.jsonl, &plain_jsonl);
+        prop_assert_eq!(&cp.run.verdict, &plain.run.verdict);
+        prop_assert_eq!(&cp.jsonl, &plain.jsonl);
         prop_assert_eq!(cp.snap_faults_undetected, 0);
         prop_assert!(cp.run.violations.is_empty());
         // Replay from the latest good checkpoint (present unless snapshot
@@ -131,9 +130,11 @@ proptest! {
         if cp.snapshot.is_some() {
             let dump = dump_of(&cp, scenario, &protection, plan, 500);
             let rep = chaos::replay_dump(&dump).expect("dump replays");
-            prop_assert!(rep.verdict_matches, "verdict {} != {}", rep.verdict, rep.expected_verdict);
+            prop_assert!(
+                rep.verdict_matches, "verdict {} != {}", rep.run.verdict, rep.dump.expected_verdict
+            );
             prop_assert!(rep.splice_matches, "trace tail diverged");
-            prop_assert!(rep.violations.is_empty());
+            prop_assert!(rep.run.violations.is_empty());
         }
     }
 }
@@ -151,8 +152,10 @@ fn replay_reproduces_detection_verdict_across_intervals() {
             scenario,
             &split,
             TlbPreset::default(),
-            "seeded-detection",
-            plan,
+            NamedPlan {
+                name: "seeded-detection",
+                plan,
+            },
             mask::ALL,
             chaos::Cadence { every, stride: 500 },
         )
@@ -169,12 +172,12 @@ fn replay_reproduces_detection_verdict_across_intervals() {
         assert!(
             rep.verdict_matches,
             "{} != {}",
-            rep.verdict, rep.expected_verdict
+            rep.run.verdict, rep.dump.expected_verdict
         );
-        assert_eq!(rep.verdict, "foiled(detected=true)");
+        assert_eq!(rep.run.verdict, "foiled(detected=true)");
         assert!(rep.splice_matches, "interval {every}: trace tail diverged");
-        assert!(rep.violations.is_empty());
-        assert!(!rep.attack_succeeded);
+        assert!(rep.run.violations.is_empty());
+        assert!(!rep.run.attack_succeeded);
     }
 }
 
@@ -185,16 +188,16 @@ fn corrupted_snapshots_and_dumps_never_panic() {
     let scenario = canonical_scenario();
     let split = split_break();
     let plan = snap_faulting_plan(7);
-    let cp = chaos::run_scenario_checkpointed_on(
+    let cp = chaos::run_scenario(
         scenario,
         &split,
         TlbPreset::default(),
         plan,
         mask::ALL,
-        chaos::Cadence {
+        Some(chaos::Cadence {
             every: 1,
             stride: 500,
-        },
+        }),
     );
     let snap = cp.snapshot.clone().expect("checkpoint exists");
     let dump = dump_of(&cp, scenario, &split, plan, 500);
@@ -259,8 +262,10 @@ fn snapshot_bytes_identical_across_thread_counts() {
             scenario,
             &split_break(),
             TlbPreset::default(),
-            "golden",
-            snap_faulting_plan(1),
+            NamedPlan {
+                name: "golden",
+                plan: snap_faulting_plan(1),
+            },
             mask::ALL,
             chaos::Cadence {
                 every: 2,
@@ -273,9 +278,11 @@ fn snapshot_bytes_identical_across_thread_counts() {
     let lines = |combos: &[chaos::ComboResult]| -> Vec<String> {
         combos.iter().map(|c| format!("{c:?}")).collect()
     };
-    let parallel = chaos::sweep(&[1], &[scenario], &split_break());
+    let tlb = TlbPreset::default();
+    let plans = chaos::perturbation_plans;
+    let parallel = chaos::sweep(&[1], &[scenario], &split_break(), tlb, plans);
     let a = make();
-    let serial = chaos::sweep_serial(&[1], &[scenario], &split_break());
+    let serial = chaos::sweep_serial(&[1], &[scenario], &split_break(), tlb, plans);
     let b = make();
     assert_eq!(lines(&parallel), lines(&serial));
     assert_eq!(a.0, b.0, "snapshot bytes differ across runs/thread counts");
@@ -500,11 +507,11 @@ fn golden_dump_replays() {
     assert!(
         rep.verdict_matches,
         "{} != {}",
-        rep.verdict, rep.expected_verdict
+        rep.run.verdict, rep.dump.expected_verdict
     );
     assert!(rep.splice_matches, "golden trace tail diverged");
-    assert!(rep.violations.is_empty());
-    assert_eq!(rep.verdict, "foiled(detected=true)");
+    assert!(rep.run.violations.is_empty());
+    assert_eq!(rep.run.verdict, "foiled(detected=true)");
 }
 
 /// Boot a bare split-memory kernel for the mid-window snapshot tests:

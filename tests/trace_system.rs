@@ -184,15 +184,20 @@ fn golden_trace_is_byte_identical_across_runs() {
 fn traced_chaos_rerun_matches_untraced_verdict() {
     let plan = chaos::plan_by_name("kitchen-sink", 3).expect("plan exists");
     let scenario = Scenario::Wilander(canonical_case());
-    let untraced = chaos::run_scenario(scenario, &split_break(), plan);
-    let (traced, jsonl) = chaos::run_scenario_traced_on(
-        scenario,
-        &split_break(),
-        TlbPreset::default(),
-        plan,
-        mask::ALL,
-    );
-    assert_eq!(traced.verdict, untraced.verdict);
+    let run = |trace_mask| {
+        chaos::run_scenario(
+            scenario,
+            &split_break(),
+            TlbPreset::default(),
+            plan,
+            trace_mask,
+            None,
+        )
+    };
+    let untraced = run(0);
+    let traced = run(mask::ALL);
+    let jsonl = traced.jsonl;
+    assert_eq!(traced.run.verdict, untraced.run.verdict);
     assert!(
         jsonl.lines().count() > 0,
         "traced re-run must capture events"
