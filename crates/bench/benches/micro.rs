@@ -66,6 +66,34 @@ fn machine_with_long_loop() -> Machine {
     m
 }
 
+/// Like [`machine_with_loop`], but the loop body is memory-operand work:
+/// SIB loads, stores and memory-destination ALU ops over page 2, the
+/// forms the lane runs through the executor rather than evaluating
+/// inline (`inc`/`jmp` never touch memory).
+fn machine_with_mem_loop() -> Machine {
+    let mut m = machine_with_loop();
+    let tab_frame = {
+        let dir = pte::Frame(m.cpu.regs.cr3);
+        pte::Frame(m.phys.read_u32(dir.base()) >> 12)
+    };
+    let code = pte::Frame(m.phys.read_u32(tab_frame.base() + 4) >> 12);
+    let body = [
+        0x8B, 0x04, 0xB3, // mov eax, [ebx+esi*4]
+        0x03, 0x44, 0xB3, 0x40, // add eax, [ebx+esi*4+0x40]
+        0x89, 0x44, 0xB3, 0x40, // mov [ebx+esi*4+0x40], eax
+        0x01, 0x84, 0xB3, 0x00, 0x01, 0x00, 0x00, // add [ebx+esi*4+0x100], eax
+        0xFF, 0x84, 0xB3, 0x00, 0x02, 0x00, 0x00, // inc dword [ebx+esi*4+0x200]
+        0x39, 0x43, 0x10, // cmp [ebx+0x10], eax
+        0x46, // inc esi
+        0x83, 0xE6, 0x0F, // and esi, 15
+        0xEB, 0xDE, // jmp -34
+    ];
+    m.phys.write(code.base(), &body);
+    m.cpu.regs.set(sm_machine::cpu::Reg::Ebx, 2 * PAGE_SIZE);
+    m.cpu.regs.eip = PAGE_SIZE;
+    m
+}
+
 fn bench_cpu(c: &mut Criterion) {
     let mut g = c.benchmark_group("cpu");
     g.throughput(Throughput::Elements(1));
@@ -118,6 +146,26 @@ fn bench_cpu(c: &mut Criterion) {
     });
     g.bench_function("step_long_body_1k", |b| {
         let mut m = machine_with_long_loop();
+        let per_call = 1024 * m.config.costs.insn;
+        b.iter(|| {
+            let limit = m.cycles + per_call;
+            while m.cycles < limit {
+                m.step();
+            }
+        });
+    });
+    // A 9-op body of loads, stores and memory-destination ALU ops (plus
+    // the index update and the back-jump): the per-op cost of the shared
+    // executor on the operand forms that dominate real guests.
+    g.bench_function("run_block_mem_body_1k", |b| {
+        let mut m = machine_with_mem_loop();
+        let per_call = 1024 * m.config.costs.insn;
+        let (_, trap) = m.run_block(m.cycles + per_call);
+        assert!(trap.is_none(), "memory body trapped: {trap:?}");
+        b.iter(|| m.run_block(m.cycles + per_call));
+    });
+    g.bench_function("step_mem_body_1k", |b| {
+        let mut m = machine_with_mem_loop();
         let per_call = 1024 * m.config.costs.insn;
         b.iter(|| {
             let limit = m.cycles + per_call;

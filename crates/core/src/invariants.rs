@@ -55,6 +55,7 @@ use crate::engine::SplitMemEngine;
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, RunExit};
 use sm_kernel::process::{Pid, ProcState};
+use sm_machine::exec::Op;
 use sm_machine::isa::SPLIT_FILL_OPCODE;
 use sm_machine::pte;
 use std::fmt;
@@ -300,11 +301,12 @@ pub fn check(k: &Kernel) -> Vec<Violation> {
         }
     }
 
-    // 6. Decode-cache coherence (engine-independent). Work is bounded:
-    // stale-generation tables are skipped by a single version compare
-    // (never walking their entries), and at most `BUDGET` entries are
-    // re-decoded per call, in ascending (pfn, offset) order — so
-    // interleaved checking stays cheap even for code-heavy workloads.
+    // 6. Decode-cache coherence (engine-independent): every cached op
+    // equals the lowering of a fresh decode of the frame's current bytes.
+    // Work is bounded: stale-generation tables are skipped by a single
+    // version compare (never walking their entries), and at most `BUDGET`
+    // entries are re-decoded per call, in ascending (pfn, offset) order —
+    // so interleaved checking stays cheap even for code-heavy workloads.
     const BUDGET: u32 = 64;
     let m = &k.sys.machine;
     let mut budget = BUDGET;
@@ -318,7 +320,7 @@ pub fn check(k: &Kernel) -> Vec<Violation> {
                 break 'frames;
             }
             budget -= 1;
-            if sm_machine::isa::decode_slice(&bytes[off as usize..]) != Ok(cached.decoded) {
+            if Op::decode(&bytes[off as usize..]) != Ok(cached) {
                 out.push(Violation::DecodeCacheIncoherent { pfn, offset: off });
             }
         }
@@ -343,16 +345,14 @@ pub fn check(k: &Kernel) -> Vec<Violation> {
                     break 'sb_frames;
                 }
                 budget -= 1;
-                if off >= bytes.len()
-                    || sm_machine::isa::decode_slice(&bytes[off..]) != Ok(op.decoded)
-                {
+                if off >= bytes.len() || Op::decode(&bytes[off..]) != Ok(*op) {
                     out.push(Violation::SuperblockIncoherent {
                         pfn,
                         offset: off as u32,
                     });
                     break;
                 }
-                off += op.len as usize;
+                off += op.encoded_len() as usize;
             }
         }
     }
@@ -644,10 +644,7 @@ mod tests {
         // Plant a cached decode that contradicts the frame's bytes at the
         // frame's *current* generation — the exact state a missing
         // version bump would produce.
-        let bogus = sm_machine::decode_cache::CachedDecode {
-            decoded: sm_machine::isa::Decoded::Invalid { opcode: 0xC3 },
-            len: 1,
-        };
+        let bogus = Op::new(sm_machine::isa::Decoded::Invalid { opcode: 0xC3 }, 1);
         let version = k.sys.machine.phys.frame_version(3);
         k.sys.machine.decode_cache.insert(3, 0, version, bogus);
         assert!(check(&k)
@@ -668,10 +665,7 @@ mod tests {
         // Plant a cached superblock whose op contradicts the frame's
         // bytes at the frame's *current* generation — the exact state a
         // missing version bump would produce.
-        let bogus = sm_machine::decode_cache::CachedDecode {
-            decoded: sm_machine::isa::Decoded::Invalid { opcode: 0xC3 },
-            len: 1,
-        };
+        let bogus = Op::new(sm_machine::isa::Decoded::Invalid { opcode: 0xC3 }, 1);
         let version = k.sys.machine.phys.frame_version(3);
         k.sys.machine.superblocks.insert(3, 0, version, vec![bogus]);
         assert!(check(&k)

@@ -999,6 +999,38 @@ pub fn validate(bytes: &[u8]) -> Result<(), SnapshotError> {
     sections(bytes).map(|_| ())
 }
 
+/// Every pipe id an fd or a pending connection names must be a live PIPE
+/// slot: the fd and accept paths index the pipe table and treat a missing
+/// slot as a kernel bug, so a snapshot naming one is rejected here.
+fn check_pipe_refs(
+    procs: &BTreeMap<u32, Process>,
+    pipes: &PipeTable,
+    net: &NetStack,
+) -> Result<(), SnapshotError> {
+    let fd_ids = procs
+        .values()
+        .flat_map(|p| p.fds.iter().flatten())
+        .flat_map(|fd| match *fd {
+            FdObject::PipeRead(id) | FdObject::PipeWrite(id) => [Some(id), None],
+            FdObject::Socket { rx, tx } => [Some(rx), Some(tx)],
+            _ => [None, None],
+        })
+        .flatten();
+    let conn_ids = net
+        .listeners
+        .values()
+        .flatten()
+        .flat_map(|c| [c.c2s, c.s2c]);
+    let live = |id: PipeId| pipes.pipes.get(id.0).is_some_and(Option::is_some);
+    if fd_ids.chain(conn_ids).all(live) {
+        Ok(())
+    } else {
+        Err(SnapshotError::Malformed(
+            "fd or connection names a missing pipe",
+        ))
+    }
+}
+
 /// Rebuild a kernel from [`save`] bytes, attaching `engine` (a freshly
 /// constructed engine of the same kind the snapshot was taken under; its
 /// bookkeeping is restored from the snapshot's engine section).
@@ -1036,6 +1068,7 @@ pub fn restore(
     let events = load_events(section(&secs, *b"EVNT")?)?;
     let (rng, chaos) = load_rand(section(&secs, *b"RAND")?)?;
     let stats = load_kstats(section(&secs, *b"KSTA")?)?;
+    check_pipe_refs(&procs, &pipes, &net)?;
     engine
         .restore_state(&engine_state)
         .map_err(|_| SnapshotError::Malformed("engine state rejected"))?;
@@ -1206,6 +1239,62 @@ mod tests {
         assert_eq!(a.sys.proc(pid).exit_code, b.sys.proc(pid).exit_code);
         // The continued halves serialize identically too.
         assert_eq!(save(&a), save(&b));
+    }
+
+    #[test]
+    fn fd_or_connection_naming_a_missing_pipe_is_rejected() {
+        // A sealed snapshot whose fd or pending connection names a pipe
+        // slot that is out of range or a hole restores to a typed error,
+        // not to a kernel whose fd paths panic on the slot later (at exit,
+        // on read, on accept).
+        fn fd(k: &mut Kernel, pid: Pid, fd: FdObject) {
+            k.sys.proc_mut(pid).fds.push(Some(fd));
+        }
+        let plants: [fn(&mut Kernel, Pid); 6] = [
+            |k, pid| fd(k, pid, FdObject::PipeRead(PipeId(7))),
+            |k, pid| fd(k, pid, FdObject::PipeWrite(PipeId(7))),
+            |k, pid| fd(k, pid, FdObject::PipeRead(PipeId(3))),
+            |k, pid| {
+                let sock = FdObject::Socket {
+                    rx: PipeId(0),
+                    tx: PipeId(7),
+                };
+                fd(k, pid, sock)
+            },
+            |k, _| {
+                let conn = Connection {
+                    c2s: PipeId(7),
+                    s2c: PipeId(1),
+                };
+                k.sys.net.listeners.get_mut(&8080).unwrap().push_back(conn)
+            },
+            |k, _| {
+                let conn = Connection {
+                    c2s: PipeId(2),
+                    s2c: PipeId(3),
+                };
+                k.sys.net.listeners.get_mut(&8080).unwrap().push_back(conn)
+            },
+        ];
+        let prog = ProgramBuilder::new("/bin/fds")
+            .code("_start: mov ebx, 0\n call exit")
+            .build()
+            .unwrap();
+        for (case, plant) in plants.iter().enumerate() {
+            // Pipes 0..=2 are live (one plus a connection's pair); slot 3
+            // is a hole; 7 is past the end.
+            let mut k = busy_kernel();
+            k.sys.pipes.pipes.push(None);
+            let pid = k.spawn(&prog.image).unwrap();
+            let valid = save(&k);
+            assert!(restore(&valid, Box::new(NullEngine)).is_ok());
+            plant(&mut k, pid);
+            match restore(&save(&k), Box::new(NullEngine)) {
+                Err(SnapshotError::Malformed(_)) => {}
+                Err(e) => panic!("case {case}: wrong error {e:?}"),
+                Ok(_) => panic!("case {case}: dangling pipe id restored"),
+            }
+        }
     }
 
     #[test]

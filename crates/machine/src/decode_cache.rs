@@ -2,9 +2,9 @@
 //!
 //! [`Machine::step`](crate::Machine::step) normally re-decodes every
 //! instruction byte-by-byte through the I-TLB on every retire. This cache
-//! keys completed [`Decoded`] results by **(physical frame, page offset)**
-//! so a hot loop decodes each instruction once and then replays the cached
-//! result.
+//! keys lowered [`Op`] records by **(physical frame, page offset)**, so a
+//! hot loop decodes and lowers each instruction once and then hands the
+//! cached record straight to the executor (see [`crate::exec`]).
 //!
 //! # Coherence
 //!
@@ -31,19 +31,8 @@
 //! live in [`DecodeCacheStats`], *outside*
 //! [`MachineStats`](crate::stats::MachineStats).
 
-use crate::isa::Decoded;
+use crate::exec::Op;
 use crate::pte::PAGE_SIZE;
-
-/// One cached decode: the outcome plus the number of bytes the decoder
-/// consumed (for `Decoded::Invalid` this is how far the decoder got before
-/// rejecting, which the fetch path needs to reproduce the uncached cursor).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CachedDecode {
-    /// Decoder outcome (instruction or invalid opcode).
-    pub decoded: Decoded,
-    /// Bytes consumed from the fetch stream.
-    pub len: u8,
-}
 
 crate::counters! {
     /// Cache-effectiveness counters. Deliberately **not** part of
@@ -72,8 +61,8 @@ struct FrameDecodes {
     /// a slot keep the table at 8 KiB, so creating or invalidating one is
     /// cheap and a frame holding a handful of decodes stays small.
     slots: [u16; PAGE_SIZE as usize],
-    /// The cached decodes, densely, in insertion order.
-    entries: Vec<CachedDecode>,
+    /// The cached ops, densely, in insertion order.
+    entries: Vec<Op>,
 }
 
 impl FrameDecodes {
@@ -92,14 +81,14 @@ impl FrameDecodes {
     }
 
     #[inline]
-    fn get(&self, off: u32) -> Option<CachedDecode> {
+    fn get(&self, off: u32) -> Option<Op> {
         match self.slots[off as usize] {
             0 => None,
             s => Some(self.entries[s as usize - 1]),
         }
     }
 
-    fn insert(&mut self, off: u32, c: CachedDecode) {
+    fn insert(&mut self, off: u32, c: Op) {
         match self.slots[off as usize] {
             0 => {
                 self.entries.push(c);
@@ -109,9 +98,9 @@ impl FrameDecodes {
         }
     }
 
-    /// Every cached decode as `(offset, decode)`, in ascending offset
-    /// order. The scan of `slots` stops once every entry has been yielded.
-    fn iter(&self) -> impl Iterator<Item = (u32, CachedDecode)> + '_ {
+    /// Every cached op as `(offset, op)`, in ascending offset order. The
+    /// scan of `slots` stops once every entry has been yielded.
+    fn iter(&self) -> impl Iterator<Item = (u32, Op)> + '_ {
         self.slots
             .iter()
             .enumerate()
@@ -142,12 +131,12 @@ impl DecodeCache {
         DecodeCache::default()
     }
 
-    /// Cached decode at (`pfn`, `off`), if the frame's decodes were cached
-    /// at write-generation `version`. Observing a different generation
-    /// drops the frame's decodes (the lazy invalidation path) and counts an
+    /// Cached op at (`pfn`, `off`), if the frame's decodes were cached at
+    /// write-generation `version`. Observing a different generation drops
+    /// the frame's decodes (the lazy invalidation path) and counts an
     /// invalidation; both that and a plain absence count a miss.
     #[inline]
-    pub fn lookup(&mut self, pfn: u32, off: u32, version: u64) -> Option<CachedDecode> {
+    pub fn lookup(&mut self, pfn: u32, off: u32, version: u64) -> Option<Op> {
         let slot = match self
             .frames
             .get_mut(pfn as usize)
@@ -171,10 +160,10 @@ impl DecodeCache {
         slot
     }
 
-    /// Cache a decode at (`pfn`, `off`) observed at write-generation
+    /// Cache an op at (`pfn`, `off`) observed at write-generation
     /// `version`. The caller guarantees the encoding lies entirely within
     /// the frame (page-crossing instructions are never cached).
-    pub fn insert(&mut self, pfn: u32, off: u32, version: u64, c: CachedDecode) {
+    pub fn insert(&mut self, pfn: u32, off: u32, version: u64, c: Op) {
         debug_assert!(off + c.len.max(1) as u32 <= PAGE_SIZE);
         let i = pfn as usize;
         if i >= self.frames.len() {
@@ -190,23 +179,18 @@ impl DecodeCache {
         fd.insert(off, c);
     }
 
-    /// Iterate the per-frame tables as `(pfn, snapshot_version, decodes)`,
-    /// where `decodes` yields `(offset, decode)` in ascending offset order.
-    /// The coherence-invariant checker in `sm-core` skips stale tables by
-    /// version without touching their entries.
+    /// Iterate the per-frame tables as `(pfn, snapshot_version, ops)`,
+    /// where `ops` yields `(offset, op)` in ascending offset order. The
+    /// coherence-invariant checker in `sm-core` skips stale tables by
+    /// version without touching their entries, and compares live ones
+    /// against [`Op::decode`] of the current frame bytes.
     pub fn iter_frames(
         &self,
-    ) -> impl Iterator<Item = (u32, u64, impl Iterator<Item = (u32, CachedDecode)> + '_)> {
+    ) -> impl Iterator<Item = (u32, u64, impl Iterator<Item = (u32, Op)> + '_)> {
         self.frames
             .iter()
             .enumerate()
             .filter_map(|(pfn, fd)| fd.as_deref().map(|fd| (pfn as u32, fd.version, fd.iter())))
-    }
-
-    /// Iterate every cached decode as `(pfn, snapshot_version, off, entry)`.
-    pub fn iter_cached(&self) -> impl Iterator<Item = (u32, u64, u32, CachedDecode)> + '_ {
-        self.iter_frames()
-            .flat_map(|(pfn, version, decodes)| decodes.map(move |(off, c)| (pfn, version, off, c)))
     }
 }
 
@@ -225,16 +209,16 @@ impl std::fmt::Debug for DecodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::Insn;
+    use crate::isa::{Decoded, Insn};
 
-    fn nop(len: u8) -> CachedDecode {
-        CachedDecode {
-            decoded: Decoded::Insn {
+    fn nop(len: u8) -> Op {
+        Op::new(
+            Decoded::Insn {
                 insn: Insn::Nop,
                 len,
             },
             len,
-        }
+        )
     }
 
     #[test]
@@ -279,7 +263,10 @@ mod tests {
         // Invalidate frame 3 only.
         assert!(c.lookup(3, 5, 10).is_none());
         assert!(c.lookup(1, 5, 0).is_some());
-        let cached: Vec<_> = c.iter_cached().collect();
+        let cached: Vec<_> = c
+            .iter_frames()
+            .flat_map(|(pfn, version, ops)| ops.map(move |(off, op)| (pfn, version, off, op)))
+            .collect();
         assert_eq!(cached, vec![(1, 0, 5, nop(1))]);
     }
 
@@ -318,13 +305,14 @@ mod tests {
         }
         let fd = c.frames[1].as_deref().unwrap();
         // The boxed table is the 8 KiB index plus a version and the Vec
-        // header; the Vec holds one dense entry per cached decode, however
-        // far apart the decodes sit in the frame.
+        // header; the Vec holds one dense 16-byte op per cached decode,
+        // however far apart the decodes sit in the frame.
         assert_eq!(size_of_val(&fd.slots), 8 * 1024);
         assert_eq!(
             size_of::<FrameDecodes>(),
-            8 * 1024 + size_of::<u64>() + size_of::<Vec<CachedDecode>>()
+            8 * 1024 + size_of::<u64>() + size_of::<Vec<Op>>()
         );
+        assert_eq!(size_of::<Op>(), 16);
         assert_eq!(fd.entries.len(), 8);
     }
 

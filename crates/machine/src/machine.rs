@@ -584,6 +584,7 @@ impl Machine {
     /// # Errors
     ///
     /// Page fault per [`Machine::translate`].
+    #[inline(always)]
     pub fn read_u8(&mut self, vaddr: u32, privilege: Privilege) -> Result<u8, PageFaultInfo> {
         let p = self.translate(vaddr, Access::Read, privilege)?;
         Ok(self.phys.read_u8(p))
@@ -594,6 +595,7 @@ impl Machine {
     /// # Errors
     ///
     /// Page fault per [`Machine::translate`].
+    #[inline(always)]
     pub fn write_u8(
         &mut self,
         vaddr: u32,
@@ -611,11 +613,24 @@ impl Machine {
     /// # Errors
     ///
     /// Page fault per [`Machine::translate`].
+    #[inline(always)]
     pub fn read_u32(&mut self, vaddr: u32, privilege: Privilege) -> Result<u32, PageFaultInfo> {
         if pte::page_offset(vaddr) <= PAGE_SIZE - 4 {
             let p = self.translate(vaddr, Access::Read, privilege)?;
             return Ok(self.phys.read_u32(p));
         }
+        self.read_u32_crossing(vaddr, privilege)
+    }
+
+    /// [`Machine::read_u32`] of a dword that crosses a page boundary: a
+    /// byte at a time, out of line so the common case inlines small.
+    #[cold]
+    #[inline(never)]
+    fn read_u32_crossing(
+        &mut self,
+        vaddr: u32,
+        privilege: Privilege,
+    ) -> Result<u32, PageFaultInfo> {
         let mut bytes = [0u8; 4];
         for (i, b) in bytes.iter_mut().enumerate() {
             let p = self.translate(vaddr.wrapping_add(i as u32), Access::Read, privilege)?;
@@ -631,6 +646,7 @@ impl Machine {
     /// # Errors
     ///
     /// Page fault per [`Machine::translate`].
+    #[inline(always)]
     pub fn write_u32(
         &mut self,
         vaddr: u32,
@@ -642,6 +658,19 @@ impl Machine {
             self.phys.write_u32(p, v);
             return Ok(());
         }
+        self.write_u32_crossing(vaddr, v, privilege)
+    }
+
+    /// [`Machine::write_u32`] of a dword that crosses a page boundary:
+    /// both pages are translated before any byte is stored.
+    #[cold]
+    #[inline(never)]
+    fn write_u32_crossing(
+        &mut self,
+        vaddr: u32,
+        v: u32,
+        privilege: Privilege,
+    ) -> Result<(), PageFaultInfo> {
         let mut paddrs = [0u32; 4];
         for (i, pa) in paddrs.iter_mut().enumerate() {
             *pa = self.translate(vaddr.wrapping_add(i as u32), Access::Write, privilege)?;
@@ -820,22 +849,28 @@ impl Machine {
                 self.stats.instructions += 1;
                 Trap::Halt
             }
-            Err(exec::Exc::PageFault(pf)) => {
+            Err(e) => {
                 self.cpu.regs = snapshot;
+                self.raise(e, snapshot.eip)
+            }
+        }
+    }
+
+    /// Account a precise exception raised by the instruction at `eip`,
+    /// once the register file has been rolled back, and turn it into its
+    /// trap (a page fault also loads CR2).
+    pub(crate) fn raise(&mut self, e: exec::Exc, eip: u32) -> Trap {
+        match e {
+            exec::Exc::PageFault(pf) => {
                 self.cpu.regs.cr2 = pf.addr;
                 self.stats.page_faults += 1;
                 Trap::PageFault(pf)
             }
-            Err(exec::Exc::InvalidOpcode { opcode }) => {
-                self.cpu.regs = snapshot;
+            exec::Exc::InvalidOpcode { opcode } => {
                 self.stats.invalid_opcodes += 1;
-                Trap::InvalidOpcode {
-                    eip: snapshot.eip,
-                    opcode,
-                }
+                Trap::InvalidOpcode { eip, opcode }
             }
-            Err(exec::Exc::DivideError) => {
-                self.cpu.regs = snapshot;
+            exec::Exc::DivideError => {
                 self.stats.divide_errors += 1;
                 Trap::DivideError
             }

@@ -6,12 +6,14 @@
 //! per-step trip back through the kernel's `run_slice` bookkeeping — for
 //! every instruction of a hot loop whose outcome is already known to be
 //! "same page, guaranteed I-TLB hit, retire normally". This module keeps
-//! a **superblock cache**: maximal straight-line decode runs keyed by
-//! `(physical frame, entry offset)`, executed back-to-back by
-//! [`Machine::run_block`] without re-entering the dispatcher. The two
-//! caches are independent host state: the decode cache serves
-//! [`Machine::step`], superblocks serve [`Machine::run_block`], and
-//! neither touches the other.
+//! a **superblock cache**: maximal straight-line runs of lowered
+//! [`Op`] records keyed by `(physical frame, entry offset)`, executed
+//! back-to-back by [`Machine::run_block`] without re-entering the
+//! dispatcher. Every op runs through the one executor that
+//! [`Machine::step`] also uses (see [`crate::exec`]); this module owns
+//! only the bookkeeping around it. The two caches are independent host
+//! state: the decode cache serves [`Machine::step`], superblocks serve
+//! [`Machine::run_block`], and neither touches the other.
 //!
 //! # Byte-identity
 //!
@@ -76,10 +78,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::cpu::{flags, Access, Privilege};
-use crate::decode_cache::CachedDecode;
-use crate::exec;
-use crate::isa::{self, Decoded, Grp5Op, Insn, Rm, SliceSource, UnOp};
+use crate::cpu::{flags, Access, Privilege, Regs};
+use crate::exec::{self, Flow, Op, F_BRANCH, F_FULL_SNAP, F_NO_FAULT, F_WRITES_MEM};
 use crate::machine::{Machine, Trap};
 use crate::pte::{self, Frame};
 
@@ -106,176 +106,32 @@ crate::counters! {
     }
 }
 
-/// Op is eligible for the batched lane: it cannot transfer control to a
-/// dynamic target, cannot syscall and cannot halt, so its only possible
-/// outcomes are "retire and fall through", "taken relative branch"
-/// ([`F_BRANCH`]) or a precise trap. Everything else (`ret`, `call`,
-/// `int`, `hlt`, indirect `Grp5`) terminates its block at build time and
-/// runs through the general path.
-const F_LANE: u8 = 1 << 0;
-/// Op may store to guest memory (stack pushes included): only after one
-/// of these can the executing frame's write-generation have moved, so
-/// only then does the per-op coherence re-check have anything to catch.
-const F_WRITES_MEM: u8 = 1 << 1;
-/// Op can mutate registers or flags *before* a fault-capable access
-/// (`leave` moves `esp` before its pop; memory-destination ALU ops set
-/// flags between the read and the store): precise rollback needs the
-/// full pre-op register file, not just `eip`. Ops without this flag
-/// reach every `Err` return with all registers untouched, so restoring
-/// `eip` alone reconstructs the pre-op state exactly.
-const F_FULL_SNAP: u8 = 1 << 2;
-/// Relative branch (`jmp rel`, `jcc rel`): infallible, store-free, and
-/// the only register it can write is `eip`. The lane pre-sets `eip` to
-/// the fall-through and detects a taken branch by `eip` diverging.
-const F_BRANCH: u8 = 1 << 3;
-/// Op provably returns `Ok(Flow::Normal)` and touches no guest memory
-/// (register-only ops and relative branches): no fault path, no store,
-/// no trace emission, and exactly `insn_cost` charged. Runs of these
-/// execute with the per-op budget check precomputed and the cycle
-/// charges batched (see the sub-run in [`Machine::run_block`]).
-const F_NO_FAULT: u8 = 1 << 4;
-
-/// Per-op execution flags, derived once at insert time. Every arm is a
-/// proof obligation against [`exec::exec_insn`]'s fault ordering; new
-/// instructions must be classified here explicitly (no catch-all), and
-/// when in doubt `0` (general path, full per-op bookkeeping) is always
-/// correct.
-fn classify(decoded: &Decoded) -> u8 {
-    let Decoded::Insn { insn, .. } = decoded else {
-        // `#UD` traps before executing: general path only.
-        return 0;
-    };
-    let mem = |rm: &Rm| matches!(rm, Rm::Mem(_));
-    match insn {
-        // Dynamic control transfers, syscall gates and halts: excluded
-        // from the lane (each also ends its block at build time).
-        Insn::Ret
-        | Insn::CallRel(_)
-        | Insn::Int(_)
-        | Insn::Hlt
-        | Insn::Grp5 {
-            op: Grp5Op::Call | Grp5Op::Jmp,
-            ..
-        } => 0,
-        // Relative branches: infallible and store-free.
-        Insn::JmpRel(_) | Insn::JccRel(..) => F_LANE | F_BRANCH | F_NO_FAULT,
-        // `leave` sets `esp` from `ebp` before its pop can fault.
-        Insn::Leave => F_LANE | F_FULL_SNAP,
-        // Stack pushes: the store fault precedes the `esp` update.
-        Insn::PushReg(_)
-        | Insn::PushImm(_)
-        | Insn::Grp5 {
-            op: Grp5Op::Push, ..
-        } => F_LANE | F_WRITES_MEM,
-        // Compare/test: sets flags only after the (sole) possible read
-        // fault and never stores, memory operand or not.
-        Insn::Alu {
-            op: isa::AluOp::Cmp | isa::AluOp::Test,
-            ..
-        } => F_LANE,
-        Insn::AluImm {
-            op: isa::AluOp::Cmp,
-            rm,
-            ..
-        } if mem(rm) => F_LANE,
-        // Memory-destination ALU: flags are written between the read and
-        // the store, so a store fault needs the full register file.
-        Insn::Alu {
-            dir: isa::Dir::ToRm,
-            rm,
-            ..
-        } if mem(rm) => F_LANE | F_WRITES_MEM | F_FULL_SNAP,
-        Insn::AluImm { rm, .. } if mem(rm) => F_LANE | F_WRITES_MEM | F_FULL_SNAP,
-        // Memory-destination stores whose flag/register writes all come
-        // after the last fault-capable access: light rollback.
-        Insn::MovRmReg {
-            dir: isa::Dir::ToRm,
-            rm,
-            ..
-        } if mem(rm) => F_LANE | F_WRITES_MEM,
-        Insn::MovRmImm { rm, .. } if mem(rm) => F_LANE | F_WRITES_MEM,
-        Insn::Shift { rm, .. } if mem(rm) => F_LANE | F_WRITES_MEM,
-        Insn::Grp3 {
-            op: UnOp::Not | UnOp::Neg,
-            rm,
-        } if mem(rm) => F_LANE | F_WRITES_MEM,
-        Insn::Grp5 {
-            op: Grp5Op::Inc | Grp5Op::Dec,
-            rm,
-        } if mem(rm) => F_LANE | F_WRITES_MEM,
-        // Register-only ops: infallible, memory-free, `eip` untouched.
-        Insn::Nop
-        | Insn::Cdq
-        | Insn::MovRegImm(..)
-        | Insn::IncReg(_)
-        | Insn::DecReg(_)
-        | Insn::Lea(..) => F_LANE | F_NO_FAULT,
-        Insn::Movzx8 {
-            src: Rm::Reg(_), ..
-        } => F_LANE | F_NO_FAULT,
-        Insn::MovRmReg { rm: Rm::Reg(_), .. }
-        | Insn::MovRmImm { rm: Rm::Reg(_), .. }
-        | Insn::Alu { rm: Rm::Reg(_), .. }
-        | Insn::AluImm { rm: Rm::Reg(_), .. }
-        | Insn::Shift { rm: Rm::Reg(_), .. } => F_LANE | F_NO_FAULT,
-        Insn::Grp3 {
-            op: UnOp::Not | UnOp::Neg | UnOp::Mul,
-            rm: Rm::Reg(_),
-        } => F_LANE | F_NO_FAULT,
-        Insn::Grp5 {
-            op: Grp5Op::Inc | Grp5Op::Dec,
-            rm: Rm::Reg(_),
-        } => F_LANE | F_NO_FAULT,
-        // Everything left: loads, stack pops and `div` (whose `#DE`
-        // checks precede its register writes). The only possible fault
-        // precedes every register/flag write, and nothing is stored.
-        Insn::PopReg(_)
-        | Insn::Movzx8 { .. }
-        | Insn::MovRmReg { .. }
-        | Insn::MovRmImm { .. }
-        | Insn::Alu { .. }
-        | Insn::AluImm { .. }
-        | Insn::Shift { .. }
-        | Insn::Grp3 { .. }
-        | Insn::Grp5 { .. } => F_LANE,
-    }
-}
-
-/// One cached superblock: the pre-resolved op vector plus per-op
-/// execution metadata derived once at build time.
+/// One cached superblock: the lowered ops plus the infallible run
+/// lengths derived from their flags once at build time.
 pub struct Block {
-    /// Pre-decoded ops in entry order — what the coherence-invariant
-    /// checker re-validates against current frame bytes.
-    pub ops: Box<[CachedDecode]>,
-    /// Per-op `F_*` flags.
-    flags: Box<[u8]>,
-    /// `runs[i]` is the length of the maximal lane-eligible
-    /// ([`F_LANE`]) run starting at op `i` (0 when op `i` itself is not
-    /// lane-eligible).
-    runs: Box<[u16]>,
-    /// Like `runs`, but for [`F_NO_FAULT`] ops (the lane's batched
-    /// sub-run).
+    /// Lowered ops in entry order — what the coherence-invariant checker
+    /// re-validates against current frame bytes.
+    pub ops: Box<[Op]>,
+    /// `fast[i]` is the length of the maximal run of [`F_NO_FAULT`] ops
+    /// starting at op `i` (0 when op `i` itself can fault): the batched
+    /// sub-run of [`Machine::run_block`].
     fast: Box<[u16]>,
 }
 
 impl Block {
-    fn new(ops: Vec<CachedDecode>) -> Block {
-        let flags: Box<[u8]> = ops.iter().map(|op| classify(&op.decoded)).collect();
-        let run_lengths = |bit: u8| {
-            let mut runs = vec![0u16; ops.len()].into_boxed_slice();
-            let mut run = 0u16;
-            for i in (0..ops.len()).rev() {
-                run = if flags[i] & bit != 0 { run + 1 } else { 0 };
-                runs[i] = run;
-            }
-            runs
-        };
-        let runs = run_lengths(F_LANE);
-        let fast = run_lengths(F_NO_FAULT);
+    fn new(ops: Vec<Op>) -> Block {
+        let mut fast = vec![0u16; ops.len()].into_boxed_slice();
+        let mut run = 0u16;
+        for i in (0..ops.len()).rev() {
+            run = if ops[i].flags & F_NO_FAULT != 0 {
+                run + 1
+            } else {
+                0
+            };
+            fast[i] = run;
+        }
         Block {
             ops: ops.into(),
-            flags,
-            runs,
             fast,
         }
     }
@@ -332,13 +188,7 @@ impl SuperblockCache {
 
     /// Cache a freshly decoded block entered at (`pfn`, `off`) observed
     /// at write-generation `version`, returning the shared handle.
-    pub fn insert(
-        &mut self,
-        pfn: u32,
-        off: u32,
-        version: u64,
-        ops: Vec<CachedDecode>,
-    ) -> Arc<Block> {
+    pub fn insert(&mut self, pfn: u32, off: u32, version: u64, ops: Vec<Op>) -> Arc<Block> {
         self.stats.builds += 1;
         let i = pfn as usize;
         if i >= self.frames.len() {
@@ -383,55 +233,28 @@ impl std::fmt::Debug for SuperblockCache {
     }
 }
 
-/// True if `insn` always diverts control (or traps): the block ends with
-/// it. This is an optimization, not a correctness gate — the runtime
-/// `eip != next_eip` check catches any control transfer regardless — but
-/// stopping here keeps blocks from caching unreachable tails.
-fn ends_block(insn: &Insn) -> bool {
-    matches!(
-        insn,
-        Insn::Ret
-            | Insn::Hlt
-            | Insn::Int(_)
-            | Insn::CallRel(_)
-            | Insn::JmpRel(_)
-            | Insn::Grp5 {
-                op: Grp5Op::Call | Grp5Op::Jmp,
-                ..
-            }
-    )
-}
-
-/// Decode a maximal straight-line run from `bytes[entry..]`, stopping at
-/// dynamic control transfers, undecodable bytes and the page edge. An
-/// instruction whose encoding runs off the slice is *not* included (the
-/// continuation page's mapping can change independently of this frame's
-/// write-generation, so page-crossers are uncacheable — same rule as the
-/// decode cache); an empty result means the entry instruction itself
-/// crosses, and the caller must use the slow path.
-pub(crate) fn build_block(bytes: &[u8], entry: u32) -> Vec<CachedDecode> {
+/// Decode and lower a maximal straight-line run from `bytes[entry..]`,
+/// stopping after dynamic control transfers and undecodable bytes
+/// ([`Op::ends_block`]; a taken conditional branch is caught at run time)
+/// and at the page edge. An instruction whose encoding runs off the slice
+/// is *not* included (the continuation page's mapping can change
+/// independently of this frame's write-generation, so page-crossers are
+/// uncacheable — same rule as the decode cache); an empty result means
+/// the entry instruction itself crosses, and the caller must use the slow
+/// path.
+pub(crate) fn build_block(bytes: &[u8], entry: u32) -> Vec<Op> {
     let mut ops = Vec::new();
     let mut off = entry as usize;
     while off < bytes.len() {
-        let mut src = SliceSource::new(&bytes[off..]);
-        let decoded = match isa::decode(&mut src) {
-            Ok(d) => d,
-            Err(isa::UnexpectedEof) => break,
+        let Ok(op) = Op::decode(&bytes[off..]) else {
+            break;
         };
-        let len = src.position() as u8;
-        debug_assert!(len > 0, "decoder must consume at least one byte");
-        ops.push(CachedDecode { decoded, len });
-        match decoded {
-            // Undecodable bytes trap; nothing after them ever executes
-            // from this entry.
-            Decoded::Invalid { .. } => break,
-            Decoded::Insn { insn, .. } => {
-                if ends_block(&insn) {
-                    break;
-                }
-            }
+        debug_assert!(op.len > 0, "decoder must consume at least one byte");
+        ops.push(op);
+        if op.ends_block() {
+            break;
         }
-        off += len as usize;
+        off += op.len as usize;
     }
     ops
 }
@@ -536,7 +359,10 @@ impl Machine {
                     t => return (retired, t),
                 }
             }
-            let ops: &[CachedDecode] = &block.ops;
+            let ops: &[Op] = &block.ops;
+            // Start of the op about to run. Every op sets `regs.eip`
+            // (to its fall-through, or its target when it transfers), so
+            // `regs.eip == eip_i` whenever control is between ops.
             let mut eip_i = eip;
             // Set once an executed op may have stored. The version was
             // read at chain entry, store-free ops cannot move it, and the
@@ -544,7 +370,7 @@ impl Machine {
             // `dirty` skips only vacuously-true compares.
             let mut dirty = false;
             let mut i = 0usize;
-            'ops: while i < ops.len() {
+            while i < ops.len() {
                 if i > 0 {
                     if self.cycles >= cycle_limit {
                         return (retired, Trap::None);
@@ -559,235 +385,84 @@ impl Machine {
                         break;
                     }
                 }
-                // Batched lane: a run of lane-eligible ops (everything but
-                // dynamic control transfers, `int`, `hlt` and `#UD` bytes
-                // — see [`classify`]) past the block entry's real fetch
-                // translate. Each lane op's fetch side is exactly {charge
-                // `insn_cost`, one I-TLB replay hit}, so those counters
-                // are flushed as batched adds at every lane exit; the
-                // execute side runs for real (data-TLB walks charge and
-                // trace through the canonical counters in-place). The
-                // step loop's per-op budget check and the dirty-gated
-                // coherence re-check run per op, same as the general
-                // path. `regs.eip` is left stale between ops —
-                // nothing a lane op executes reads it, and no
-                // machine-layer trace event records it — except for
-                // branches, which get the fall-through pre-set so a taken
-                // transfer is detected by divergence; every other lane
-                // exit re-syncs it before control leaves the lane.
-                if i > 0 || entry_hot {
-                    let i0 = i;
-                    let end = i0 + block.runs[i0] as usize;
-                    // Counter flush at lane exits: ops `i0..f` fetched
-                    // (charged + replay hits), ops `i0..d` also retired.
-                    macro_rules! flush {
-                        ($f:expr, $d:expr) => {{
-                            let (f, d) = (($f - i0) as u64, ($d - i0) as u64);
-                            self.itlb.stats.hits += f;
-                            self.stats.instructions += d;
-                            retired += d;
-                        }};
-                    }
-                    let mut j = i0;
-                    while j < end {
-                        if j > i0 {
-                            if self.cycles >= cycle_limit {
-                                flush!(j, j);
-                                self.cpu.regs.eip = eip_i;
-                                return (retired, Trap::None);
-                            }
-                            if dirty && self.phys.frame_version(pfn) != version {
-                                flush!(j, j);
-                                self.cpu.regs.eip = eip_i;
-                                self.superblocks.stats.bailouts += 1;
-                                break 'ops;
-                            }
+                let op = &ops[i];
+                if op.flags & F_NO_FAULT != 0 && (i > 0 || entry_hot) {
+                    // Infallible sub-run past the block entry's real fetch
+                    // translate: none of these ops can fault, store or
+                    // charge anything but `insn_cost`, and each fetch is a
+                    // replay hit. So the per-op budget check is
+                    // precomputed (the count that executes before the
+                    // check first fails is ceil(remaining / cost)), the
+                    // coherence re-check stays exactly as valid as it was
+                    // at op `i` (stores are the only thing that move the
+                    // version, and there are none), and the cycle
+                    // charges, I-TLB hits and retires land as batched
+                    // adds.
+                    let want = block.fast[i] as usize;
+                    // Budget precomputation avoids the division when the
+                    // whole run fits (`want` ≤ block len, so the product
+                    // cannot overflow).
+                    let n =
+                        if insn_cost == 0 || want as u64 * insn_cost <= cycle_limit - self.cycles {
+                            want
+                        } else {
+                            let budget = (cycle_limit - self.cycles).div_ceil(insn_cost);
+                            want.min(budget.min(u32::MAX as u64) as usize)
+                        };
+                    let (start, stop) = (i, i + n);
+                    let mut taken = false;
+                    while i < stop {
+                        let op = &ops[i];
+                        let fall = eip_i.wrapping_add(op.len as u32);
+                        let flow = exec::exec(self, op, fall);
+                        debug_assert!(matches!(flow, Ok(Flow::Normal)));
+                        i += 1;
+                        // Only a relative branch can leave `eip` anywhere
+                        // but its fall-through (and a branch to the
+                        // fall-through is not taken).
+                        if op.flags & F_BRANCH != 0 && self.cpu.regs.eip != fall {
+                            taken = true;
+                            break;
                         }
-                        if block.flags[j] & F_NO_FAULT != 0 {
-                            // Infallible sub-run: none of these ops can
-                            // fault, store or charge anything but
-                            // `insn_cost`, so the per-op budget check is
-                            // precomputed (the count that executes before
-                            // the check first fails is ceil(remaining /
-                            // cost)), the coherence re-check stays exactly
-                            // as valid as it was at op `j` (stores are the
-                            // only thing that move the version, and there
-                            // are none), and the cycle charges land as one
-                            // batched add.
-                            let lim = end.min(j + block.fast[j] as usize);
-                            let want = lim - j;
-                            // Budget precomputation avoids the division when
-                            // the whole run fits (`want` ≤ block len, so the
-                            // product cannot overflow).
-                            let n = if insn_cost == 0
-                                || want as u64 * insn_cost <= cycle_limit - self.cycles
-                            {
-                                want
-                            } else {
-                                let budget = (cycle_limit - self.cycles).div_ceil(insn_cost);
-                                want.min(budget.min(u32::MAX as u64) as usize)
-                            };
-                            let (start, stop) = (j, j + n);
-                            let mut taken = false;
-                            while j < stop {
-                                let op = &ops[j];
-                                let Decoded::Insn { insn, .. } = op.decoded else {
-                                    unreachable!("no-fault op cannot be Invalid");
-                                };
-                                eip_i = eip_i.wrapping_add(op.len as u32);
-                                if block.flags[j] & F_BRANCH != 0 {
-                                    // Branches evaluate inline: `JmpRel` and
-                                    // `JccRel` read only `eflags` and write
-                                    // only `eip` (the same two arms
-                                    // `exec_insn` would run), and a
-                                    // not-taken branch leaves `eip` exactly
-                                    // where the lane's stale-`eip` invariant
-                                    // already has it — dead until the next
-                                    // sync point — so only a taken transfer
-                                    // touches the register file at all.
-                                    j += 1;
-                                    let target = match insn {
-                                        Insn::JmpRel(rel) => Some(eip_i.wrapping_add(rel as u32)),
-                                        Insn::JccRel(cond, rel) => {
-                                            exec::cond_holds(&self.cpu.regs.eflags, cond)
-                                                .then(|| eip_i.wrapping_add(rel as u32))
-                                        }
-                                        _ => unreachable!("F_BRANCH is exactly JmpRel/JccRel"),
-                                    };
-                                    if let Some(t) = target {
-                                        if t != eip_i {
-                                            self.cpu.regs.eip = t;
-                                            taken = true;
-                                            break;
-                                        }
-                                    }
-                                } else {
-                                    let flow = exec::exec_insn(self, insn, eip_i);
-                                    debug_assert!(matches!(flow, Ok(exec::Flow::Normal)));
-                                    let _ = flow;
-                                    j += 1;
-                                }
-                            }
-                            self.cycles += (j - start) as u64 * insn_cost;
-                            if taken {
-                                flush!(j, j);
-                                if self.cpu.regs.eip == eip
-                                    && self.cycles < cycle_limit
-                                    && self.phys.frame_version(pfn) == version
-                                {
-                                    // Self-loop re-entry (see the
-                                    // fallible path below for why this is
-                                    // exact).
-                                    self.superblocks.stats.hits += 1;
-                                    entry_hot = true;
-                                    eip_i = eip;
-                                    dirty = false;
-                                    i = 0;
-                                    continue 'ops;
-                                }
-                                break 'ops;
-                            }
+                        eip_i = fall;
+                    }
+                    let ran = (i - start) as u64;
+                    self.cycles += ran * insn_cost;
+                    self.itlb.stats.hits += ran;
+                    self.stats.instructions += ran;
+                    retired += ran;
+                    if taken {
+                        if self.cpu.regs.eip == eip
+                            && self.cycles < cycle_limit
+                            && self.phys.frame_version(pfn) == version
+                        {
+                            // Self-loop: the taken branch targets this
+                            // block's own entry. The chain re-entry is
+                            // replayed inline — budget check, version
+                            // re-check and the superblock hit `lookup`
+                            // would count for the unchanged key — without
+                            // re-resolving page or block. The entry is hot
+                            // by construction: this page's fetch translate
+                            // already ran this call.
+                            self.superblocks.stats.hits += 1;
+                            entry_hot = true;
+                            eip_i = eip;
+                            dirty = false;
+                            i = 0;
                             continue;
                         }
-                        let op = &ops[j];
-                        let fl = block.flags[j];
-                        let Decoded::Insn { insn, .. } = op.decoded else {
-                            unreachable!("lane-flagged op cannot be Invalid");
-                        };
-                        let snapshot = (fl & F_FULL_SNAP != 0).then_some(self.cpu.regs);
-                        self.cycles += insn_cost;
-                        let fall = eip_i.wrapping_add(op.len as u32);
-                        if fl & F_BRANCH != 0 {
-                            self.cpu.regs.eip = fall;
-                        }
-                        match exec::exec_insn(self, insn, fall) {
-                            Ok(exec::Flow::Normal) => {
-                                j += 1;
-                                dirty |= fl & F_WRITES_MEM != 0;
-                                if fl & F_BRANCH != 0 && self.cpu.regs.eip != fall {
-                                    flush!(j, j);
-                                    if self.cpu.regs.eip == eip
-                                        && self.cycles < cycle_limit
-                                        && self.phys.frame_version(pfn) == version
-                                    {
-                                        // Self-loop: the taken branch
-                                        // targets this block's own entry.
-                                        // The chain re-entry is replayed
-                                        // inline — budget check, version
-                                        // re-check (above) and the
-                                        // superblock hit `lookup` would
-                                        // count for the unchanged key —
-                                        // without re-resolving page or
-                                        // block. The entry is hot by
-                                        // construction: this page's
-                                        // fetch translate already ran
-                                        // this call.
-                                        self.superblocks.stats.hits += 1;
-                                        entry_hot = true;
-                                        eip_i = eip;
-                                        dirty = false;
-                                        i = 0;
-                                        continue 'ops;
-                                    }
-                                    // Taken branch: chain from the target.
-                                    break 'ops;
-                                }
-                                eip_i = fall;
-                            }
-                            Ok(exec::Flow::Syscall { .. } | exec::Flow::Halt) => {
-                                unreachable!("int/hlt are never lane-eligible")
-                            }
-                            Err(e) => {
-                                // Fetch-side accounting for the faulting
-                                // op already happened (charge + replay
-                                // hits), but it did not retire. The
-                                // snapshot's `eip` is the lane's stale
-                                // value, so the op-start `eip` is forced
-                                // in both rollback shapes.
-                                if let Some(regs) = snapshot {
-                                    self.cpu.regs = regs;
-                                }
-                                self.cpu.regs.eip = eip_i;
-                                flush!(j + 1, j);
-                                match e {
-                                    exec::Exc::PageFault(pf) => {
-                                        self.cpu.regs.cr2 = pf.addr;
-                                        self.stats.page_faults += 1;
-                                        return (retired, Trap::PageFault(pf));
-                                    }
-                                    exec::Exc::InvalidOpcode { opcode } => {
-                                        self.stats.invalid_opcodes += 1;
-                                        return (
-                                            retired,
-                                            Trap::InvalidOpcode { eip: eip_i, opcode },
-                                        );
-                                    }
-                                    exec::Exc::DivideError => {
-                                        self.stats.divide_errors += 1;
-                                        return (retired, Trap::DivideError);
-                                    }
-                                }
-                            }
-                        }
+                        // Taken branch: chain from the target.
+                        break;
                     }
-                    if j > i0 {
-                        flush!(j, j);
-                        i = j;
-                        self.cpu.regs.eip = eip_i;
-                        continue 'ops;
-                    }
+                    continue;
                 }
-                let op = &ops[i];
-                let op_flags = block.flags[i];
-                // Precise-exception rollback state. Most ops reach every
-                // possible `Err` with all registers untouched (the fault
-                // precedes any write), so restoring `eip` alone is exact;
-                // only `F_FULL_SNAP` ops pay the full register-file copy.
-                let snapshot = (op_flags & F_FULL_SNAP != 0).then_some(self.cpu.regs);
-                let restore = |s: &mut Machine, snapshot: Option<crate::cpu::Regs>| match snapshot {
-                    Some(regs) => s.cpu.regs = regs,
-                    None => s.cpu.regs.eip = eip_i,
-                };
+                // Everything else runs one op at a time with the step
+                // loop's bookkeeping. Precise-exception rollback state:
+                // most ops reach every possible `Err` with all registers
+                // but `eip` untouched (the fault precedes any write), so
+                // restoring `eip` alone is exact; only `F_FULL_SNAP` ops
+                // pay the full register-file copy.
+                let snapshot = (op.flags & F_FULL_SNAP != 0).then_some(self.cpu.regs);
                 self.charge(insn_cost);
                 if i == 0 && !entry_hot {
                     // First fast-path touch of this page in this call:
@@ -797,11 +472,9 @@ impl Machine {
                     // entries replay it as `hits += 1` (see `hot_page`).
                     if let Err(pf) = self.translate(eip_i, Access::Fetch, Privilege::User) {
                         // Unreachable after the peek/rights gate above,
-                        // but kept faithful to the slow path regardless.
-                        restore(self, snapshot);
-                        self.cpu.regs.cr2 = pf.addr;
-                        self.stats.page_faults += 1;
-                        return (retired, Trap::PageFault(pf));
+                        // but kept faithful to the slow path regardless
+                        // (no register has moved yet).
+                        return (retired, self.raise(pf.into(), eip_i));
                     }
                     hot_page = Some((vpn, pfn));
                 } else {
@@ -812,26 +485,16 @@ impl Machine {
                     self.itlb.stats.hits += 1;
                 }
                 let next_eip = eip_i.wrapping_add(op.len as u32);
-                let insn = match op.decoded {
-                    Decoded::Insn { insn, .. } => insn,
-                    Decoded::Invalid { opcode } => {
-                        restore(self, snapshot);
-                        self.stats.invalid_opcodes += 1;
-                        return (retired, Trap::InvalidOpcode { eip: eip_i, opcode });
-                    }
-                };
-                self.cpu.regs.eip = next_eip;
-                match exec::exec_insn(self, insn, next_eip) {
-                    Ok(exec::Flow::Normal) => {
+                match exec::exec(self, op, next_eip) {
+                    Ok(Flow::Normal) => {
                         self.stats.instructions += 1;
                         retired += 1;
-                        dirty |= op_flags & F_WRITES_MEM != 0;
+                        dirty |= op.flags & F_WRITES_MEM != 0;
                         if let Some(ev) = self.pending_cfi.take() {
                             // Same drain point as Machine::step: the
                             // transfer already retired, so the per-step and
                             // pipelined trap streams stay identical (calls
-                            // and rets always terminate a block and execute
-                            // through this general path).
+                            // and rets always terminate a block).
                             return (retired, Trap::ControlFlow(ev));
                         }
                         if self.cpu.regs.eip != next_eip {
@@ -842,35 +505,33 @@ impl Machine {
                         eip_i = next_eip;
                         i += 1;
                     }
-                    Ok(exec::Flow::Syscall { vector }) => {
+                    Ok(Flow::Syscall { vector }) => {
                         self.stats.instructions += 1;
                         self.stats.syscalls += 1;
                         return (retired, Trap::Syscall { vector });
                     }
-                    Ok(exec::Flow::Halt) => {
+                    Ok(Flow::Halt) => {
                         self.stats.instructions += 1;
                         return (retired, Trap::Halt);
                     }
-                    Err(exec::Exc::PageFault(pf)) => {
-                        restore(self, snapshot);
-                        self.cpu.regs.cr2 = pf.addr;
-                        self.stats.page_faults += 1;
-                        return (retired, Trap::PageFault(pf));
-                    }
-                    Err(exec::Exc::InvalidOpcode { opcode }) => {
-                        restore(self, snapshot);
-                        self.stats.invalid_opcodes += 1;
-                        return (retired, Trap::InvalidOpcode { eip: eip_i, opcode });
-                    }
-                    Err(exec::Exc::DivideError) => {
-                        restore(self, snapshot);
-                        self.stats.divide_errors += 1;
-                        return (retired, Trap::DivideError);
+                    Err(e) => {
+                        self.roll_back(snapshot, eip_i);
+                        return (retired, self.raise(e, eip_i));
                     }
                 }
             }
             // Fell off the block end (last op ended flush with the page
             // edge), bailed on a version bump, or took a branch: chain.
+        }
+    }
+
+    /// Precise rollback of an op that started at `eip` and raised: the
+    /// full pre-op register file for `F_FULL_SNAP` ops, otherwise just
+    /// `eip` (nothing else was written before the fault).
+    fn roll_back(&mut self, snapshot: Option<Regs>, eip: u32) {
+        match snapshot {
+            Some(regs) => self.cpu.regs = regs,
+            None => self.cpu.regs.eip = eip,
         }
     }
 }
@@ -879,14 +540,17 @@ impl Machine {
 mod tests {
     use super::*;
 
-    fn nop(len: u8) -> CachedDecode {
-        CachedDecode {
-            decoded: Decoded::Insn {
+    use crate::exec::Kind;
+    use crate::isa::{Decoded, Insn};
+
+    fn nop(len: u8) -> Op {
+        Op::new(
+            Decoded::Insn {
                 insn: Insn::Nop,
                 len,
             },
             len,
-        }
+        )
     }
 
     #[test]
@@ -929,13 +593,7 @@ mod tests {
         let bytes = [0x90, 0x90, 0xC3, 0x90];
         let ops = build_block(&bytes, 0);
         assert_eq!(ops.len(), 3);
-        assert!(matches!(
-            ops[2].decoded,
-            Decoded::Insn {
-                insn: Insn::Ret,
-                ..
-            }
-        ));
+        assert_eq!(ops[2].kind, Kind::Ret);
     }
 
     #[test]
@@ -944,13 +602,7 @@ mod tests {
         let bytes = [0x48, 0x75, 0xFD, 0xF4];
         let ops = build_block(&bytes, 0);
         assert_eq!(ops.len(), 3);
-        assert!(matches!(
-            ops[2].decoded,
-            Decoded::Insn {
-                insn: Insn::Hlt,
-                ..
-            }
-        ));
+        assert_eq!(ops[2].kind, Kind::Hlt);
     }
 
     #[test]
@@ -969,6 +621,6 @@ mod tests {
         let bytes = [0x90, 0x0F, 0x90];
         let ops = build_block(&bytes, 0);
         assert_eq!(ops.len(), 2);
-        assert!(matches!(ops[1].decoded, Decoded::Invalid { .. }));
+        assert_eq!(ops[1].kind, Kind::Invalid);
     }
 }
